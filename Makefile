@@ -6,7 +6,7 @@ PYTHON ?= python
 	bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
-	all clean
+	perfbench-check all clean
 
 install:
 	pip install -e .
@@ -147,6 +147,23 @@ sanitize-smoke:
 		grep -q "first divergent draw" /tmp/sanitize-inject.txt; \
 	fi
 	@echo "sanitize-smoke: digests neutral, injection localized"
+
+# Repository-benchmark outcome gate: the perfbench smoke tests, then
+# one untimed run of every workload at seeds 1 and 7.  A run exits 1
+# when its outcome digest differs from perfbench/digests.json, so a
+# change that moves a workload's simulated outcome fails here.  The
+# target only runs perfbench; it never edits it.
+PERFBENCH_WORKLOADS = growth shuttle-delivery timer-churn sharded-quanta
+
+perfbench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest -q perfbench
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		for s in 1 7; do \
+			$(PYTHON) perfbench/run.py --workload $$w --seed $$s \
+				--seconds 0 --trace 0 > /dev/null || exit 1; \
+		done; \
+	done
+	@echo "perfbench-check: every workload digest matches perfbench/digests.json"
 
 # Shortest chaos campaign at a fixed seed: exits non-zero if any
 # resilience invariant (no silent loss, no double-apply, delivery

@@ -210,6 +210,10 @@ class KnowledgeBase:
         self.decay_rate = float(decay_rate)
         self._facts: Dict[int, Fact] = {}
         self._by_class: Dict[str, List[int]] = {}
+        # (fact_class, value) -> fact, for hashable values; per class,
+        # the number of members whose unhashable value is not indexed.
+        self._index: Dict[Tuple[str, Any], Fact] = {}
+        self._unindexed: Dict[str, int] = {}
         self.evictions = 0
         self.inserts = 0
         # content_digest() cache: valid while the *membership* of the
@@ -239,6 +243,11 @@ class KnowledgeBase:
             self._displace_weakest(now)
         self._facts[fact.fact_id] = fact
         self._by_class.setdefault(fact.fact_class, []).append(fact.fact_id)
+        try:
+            self._index.setdefault((fact.fact_class, fact.value), fact)
+        except TypeError:
+            self._unindexed[fact.fact_class] = \
+                self._unindexed.get(fact.fact_class, 0) + 1
         self.inserts += 1
         self._digest_dirty = True
         return fact
@@ -252,6 +261,16 @@ class KnowledgeBase:
     def _remove(self, fact: Fact) -> None:
         del self._facts[fact.fact_id]
         self._digest_dirty = True
+        key = (fact.fact_class, fact.value)
+        try:
+            if self._index.get(key) is fact:
+                del self._index[key]
+        except TypeError:
+            left = self._unindexed[fact.fact_class] - 1
+            if left:
+                self._unindexed[fact.fact_class] = left
+            else:
+                del self._unindexed[fact.fact_class]
         members = self._by_class.get(fact.fact_class, [])
         try:
             members.remove(fact.fact_id)
@@ -262,6 +281,23 @@ class KnowledgeBase:
 
     # -- queries --------------------------------------------------------------
     def find(self, fact_class: str, value: Any) -> Optional[Fact]:
+        """The first fact of ``fact_class``, in insertion order, whose
+        value ``== value``; None if there is none.
+
+        A hashable value is answered from the ``(class, value)`` index.
+        The linear scan remains the reference: it runs for an unhashable
+        value, for a class holding any unhashable value (``{1}`` equals
+        ``frozenset({1})``), and when the indexed fact fails ``==`` (a
+        NaN is its own dict key but not equal to itself).
+        """
+        if fact_class not in self._unindexed:
+            try:
+                fact = self._index.get((fact_class, value))
+            except TypeError:
+                pass
+            else:
+                if fact is None or fact.value == value:
+                    return fact
         for fid in self._by_class.get(fact_class, ()):
             fact = self._facts[fid]
             if fact.value == value:

@@ -22,12 +22,13 @@ churn (radio or failures) invalidates affected routes immediately.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import (Dict, FrozenSet, Hashable, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
 from ..perf.switches import switches as _opt
-from ..substrates.phys import Datagram
+from ..substrates.phys import Datagram, TopologyError
 from ..substrates.sim import Simulator
 
 #: Below this many hello-vector rows the vectorized cost screen costs
@@ -99,13 +100,13 @@ class WLIAdaptiveRouter:
         return (route.expires > self.sim.now
                 and route.next_hop in self._neighbor_set())
 
-    def _neighbor_set(self) -> set:
+    def _neighbor_set(self) -> FrozenSet[NodeId]:
         if self.ship is None or not self.ship.alive:
-            return set()
+            return frozenset()
         try:
-            return set(self.ship.fabric.topology.neighbors(self.ship.ship_id))
-        except Exception:
-            return set()
+            return self.ship.fabric.topology.neighbor_set(self.ship.ship_id)
+        except TopologyError:
+            return frozenset()
 
     def learn_route(self, dst: NodeId, next_hop: NodeId, cost: float) -> None:
         if dst == self.ship.ship_id:

@@ -8,7 +8,7 @@ split-horizon rule avoids two-node count-to-infinity loops.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, NamedTuple, Optional
+from typing import Dict, FrozenSet, Hashable, NamedTuple, Optional
 
 from ..substrates.phys import Datagram
 from ..substrates.sim import Simulator
@@ -48,10 +48,10 @@ class DistanceVectorRouter:
         if self._task is not None:
             self._task.stop()
 
-    def _neighbors(self) -> set:
+    def _neighbors(self) -> FrozenSet[NodeId]:
         if self.ship is None or not self.ship.alive:
-            return set()
-        return set(self.ship.fabric.topology.neighbors(self.ship.ship_id))
+            return frozenset()
+        return self.ship.fabric.topology.neighbor_set(self.ship.ship_id)
 
     def _alive(self, route: DVRoute) -> bool:
         return (route.expires > self.sim.now

@@ -45,7 +45,7 @@ from .rules import Finding, SHARD_RULES
 
 #: Fallback when the analyzed tree does not define the tuple itself
 #: (kept in sync with :data:`repro.obs.snapshot.DIGEST_EXCLUDED_PREFIXES`).
-_DEFAULT_DIGEST_EXCLUDED = ("repro_shard_", "repro_obs_")
+_DEFAULT_DIGEST_EXCLUDED = ("repro_shard_", "repro_obs_", "repro_kernel_")
 
 #: Dotted call paths whose return values cannot cross a pickle boundary.
 _UNPICKLABLE_CALLS = frozenset({

@@ -84,13 +84,14 @@ class NetworkFabric:
         self.packets_sent += 1
         if self.sim.obs.on:
             self.sim.obs.fabric_packets.inc(event="send", reason="")
-        if not self.topology.has_link(from_node, to_node):
+        try:
+            link = self.topology.link(from_node, to_node)
+        except TopologyError:
             return self._drop(packet, from_node, to_node, "no-link")
         if self.breakers is not None \
                 and not self.breakers.admit(from_node, to_node):
             # Tripped breaker: fail fast, no bucket wait, no in-flight.
             return self._drop(packet, from_node, to_node, "breaker-open")
-        link = self.topology.link(from_node, to_node)
         if not link.up:
             return self._drop(packet, from_node, to_node, "link-down")
         if not (self.topology.node_up(from_node)

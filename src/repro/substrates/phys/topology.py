@@ -13,9 +13,12 @@ latency, honouring link/node up-down state.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Hashable, Iterable, List, Optional,
+                    Set, Tuple)
 
 NodeId = Hashable
+#: A node's up-neighbours: in adjacency order, and as a set.
+_UpNeighbors = Tuple[Tuple[NodeId, ...], FrozenSet[NodeId]]
 
 
 class TopologyError(Exception):
@@ -33,6 +36,8 @@ class Link:
     Bandwidth is in bytes/second, latency in seconds.  Each direction has
     its own transmission queue (modelled by the fabric's token buckets),
     but capacity figures are symmetric, as in the paper's figures.
+    Change ``state`` through :meth:`Topology.set_link_state`, which
+    bumps the topology's ``version`` and so drops its neighbour cache.
     """
 
     __slots__ = ("a", "b", "latency", "bandwidth", "state", "name",
@@ -89,6 +94,10 @@ class Topology:
         self._links: Dict[Tuple, Link] = {}
         self._node_up: Dict[NodeId, bool] = {}
         self.version = 0  # bumped on every structural / state change
+        # Up-neighbours per node, valid while ``version`` equals
+        # ``_up_version``.
+        self._up: Dict[NodeId, _UpNeighbors] = {}
+        self._up_version = -1
 
     # -- construction -----------------------------------------------------
     def add_node(self, node: NodeId) -> None:
@@ -163,24 +172,46 @@ class Topology:
         return node in self._adj
 
     def has_link(self, a: NodeId, b: NodeId) -> bool:
-        return _key(a, b) in self._links
+        adj = self._adj.get(a)
+        return adj is not None and b in adj
 
     def link(self, a: NodeId, b: NodeId) -> Link:
-        link = self._links.get(_key(a, b))
+        adj = self._adj.get(a)
+        link = adj.get(b) if adj is not None else None
         if link is None:
             raise TopologyError(f"no link {a!r}~{b!r}")
         return link
 
+    def _up_neighbors(self, node: NodeId) -> _UpNeighbors:
+        if self._up_version != self.version:
+            self._up.clear()
+            self._up_version = self.version
+        entry = self._up.get(node)
+        if entry is None:
+            adj = self._adj.get(node)
+            if adj is None:
+                raise TopologyError(f"no node {node!r}")
+            node_up = self._node_up
+            peers: Tuple[NodeId, ...] = ()
+            if node_up[node]:
+                peers = tuple(peer for peer, link in adj.items()
+                              if link.up and node_up[peer])
+            entry = self._up[node] = (peers, frozenset(peers))
+        return entry
+
     def neighbors(self, node: NodeId, only_up: bool = True) -> List[NodeId]:
+        if only_up:
+            return list(self._up_neighbors(node)[0])
         adj = self._adj.get(node)
         if adj is None:
             raise TopologyError(f"no node {node!r}")
-        if not only_up:
-            return list(adj)
-        if not self._node_up.get(node, False):
-            return []
-        return [peer for peer, link in adj.items()
-                if link.up and self._node_up.get(peer, False)]
+        return list(adj)
+
+    def neighbor_set(self, node: NodeId) -> FrozenSet[NodeId]:
+        """The up-neighbours of ``node`` as a frozenset (empty when the
+        node is down).  Cached until the next topology change, so the
+        same object comes back between changes."""
+        return self._up_neighbors(node)[1]
 
     def degree(self, node: NodeId, only_up: bool = True) -> int:
         return len(self.neighbors(node, only_up=only_up))

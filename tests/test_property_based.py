@@ -1,17 +1,24 @@
 """Property-based tests (hypothesis) on core data structures."""
 
 import math
+from collections import Counter
+from collections.abc import Hashable
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.analysis import entropy
 from repro.core.congruence import congruence
 from repro.core.knowledge import Fact, KnowledgeBase
 from repro.substrates.nodeos import CodeCache, CodeModule
-from repro.substrates.phys import Topology
+from repro.substrates.phys import Topology, TopologyError
+from repro.substrates.phys.topology import _key
 from repro.substrates.sim import Simulator, TokenBucket
 from repro.verification.tla import FrozenState
+
+from .hypothesis_tiers import STANDARD_SETTINGS, STATE_MACHINE_SETTINGS
 
 # ----------------------------------------------------------------------
 # Facts and knowledge bases (PMP.3 semantics)
@@ -96,6 +103,87 @@ class TestKnowledgeBaseProperties:
             kb.record(Fact(cls, value, created_at=0.0), now=0.0)
         seen = {(f.fact_class, f.value) for f in kb.all_facts()}
         assert len(seen) == len(kb)
+
+
+def scan_find(kb, fact_class, value):
+    """The reference ``find``: the first member of the class, in
+    insertion order, whose value ``==`` the query."""
+    for fact in kb.facts_of_class(fact_class):
+        if fact.value == value:
+            return fact
+    return None
+
+
+class ScanKnowledgeBase(KnowledgeBase):
+    """A knowledge base whose ``record`` decides touch-or-insert with
+    the reference scan instead of the index."""
+
+    def find(self, fact_class, value):
+        return scan_find(self, fact_class, value)
+
+
+_NAN = float("nan")
+#: Values where hashing and ``==`` disagree in every way the index must
+#: honour: unhashable values, equal values of different hashability,
+#: ``1 == 1.0 == True``, and one NaN object (its own dict key, yet not
+#: equal to itself).
+KB_VALUES = (0, 1, 1.0, True, "a", ("t", 1), None, _NAN,
+             {"k": 1}, [1, 2], {1}, frozenset({1}))
+
+kb_op_strategy = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from("xyz"),
+              st.sampled_from(KB_VALUES),
+              st.floats(min_value=0.05, max_value=4.0),
+              st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("sweep"), st.floats(min_value=0.0, max_value=300.0)),
+)
+
+
+def _rec(value, weight=1.0, threshold=0.2):
+    return ("record", "x", value, weight, threshold)
+
+
+def _fact_rows(facts):
+    return [(f.fact_class, repr(f.value), f.accesses) for f in facts]
+
+
+class TestFactIndexAgainstScan:
+    @STANDARD_SETTINGS
+    @given(st.lists(kb_op_strategy, max_size=60),
+           st.integers(min_value=1, max_value=8))
+    @example([_rec({1}), _rec(frozenset({1}))], 8)
+    @example([_rec(frozenset({1})), _rec({1})], 8)
+    @example([_rec(1), _rec(1.0), _rec(True)], 8)
+    # Two facts on one NaN object; the indexed one dies first.
+    @example([_rec(_NAN, weight=0.3, threshold=0.25), _rec(_NAN, weight=4.0),
+              ("sweep", 50.0)], 8)
+    def test_find_and_membership_match_the_scan(self, ops, capacity):
+        kb = KnowledgeBase(capacity=capacity)
+        ref = ScanKnowledgeBase(capacity=capacity)
+        now = 0.0
+        for op in ops:
+            if op[0] == "record":
+                _, cls, value, weight, threshold = op
+                for store in (kb, ref):
+                    store.record(Fact(cls, value, created_at=now,
+                                      weight=weight, threshold=threshold),
+                                 now)
+            else:
+                now += op[1]
+                assert _fact_rows(kb.sweep(now)) == _fact_rows(ref.sweep(now))
+            assert _fact_rows(kb.all_facts()) == _fact_rows(ref.all_facts())
+            assert kb.content_digest() == ref.content_digest()
+            for cls in "xyz":
+                for value in KB_VALUES:
+                    assert kb.find(cls, value) is scan_find(kb, cls, value)
+            # Index bookkeeping: entries point at live facts, and a
+            # class falls back to the scan only while it holds an
+            # unhashable value.
+            assert all(kb._facts.get(f.fact_id) is f
+                       for f in kb._index.values())
+            unhashable = Counter(f.fact_class for f in kb.all_facts()
+                                 if not isinstance(f.value, Hashable))
+            assert kb._unindexed == dict(unhashable)
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +275,110 @@ class TestTopologyProperties:
                     assert math.isclose(topo.path_latency(fwd),
                                         topo.path_latency(rev),
                                         rel_tol=1e-9)
+
+
+def oracle_up_neighbors(topo, node):
+    """Up-neighbours recomputed from the raw adjacency, in its order."""
+    if not topo._node_up[node]:
+        return []
+    return [peer for peer, link in topo._adj[node].items()
+            if link.up and topo._node_up[peer]]
+
+
+_NODE_IDS = st.integers(min_value=0, max_value=5)
+#: Never a node.
+_GHOST = 6
+
+
+class TopologyCacheMachine(RuleBasedStateMachine):
+    """Random mutation sequences; after every step each query must
+    equal a from-scratch recomputation, so a stale cache entry fails."""
+
+    def __init__(self):
+        super().__init__()
+        self.topo = Topology()
+
+    @rule(node=_NODE_IDS)
+    def add_node(self, node):
+        self.topo.add_node(node)
+
+    @rule(a=_NODE_IDS, b=_NODE_IDS,
+          latency=st.floats(min_value=0.001, max_value=1.0))
+    def add_link(self, a, b, latency):
+        if a == b or _key(a, b) in self.topo._links:
+            with pytest.raises(TopologyError):
+                self.topo.add_link(a, b, latency=latency)
+        else:
+            self.topo.add_link(a, b, latency=latency)
+
+    @rule(a=_NODE_IDS, b=_NODE_IDS)
+    def remove_link(self, a, b):
+        if _key(a, b) in self.topo._links:
+            self.topo.remove_link(a, b)
+        else:
+            with pytest.raises(TopologyError):
+                self.topo.remove_link(a, b)
+
+    @rule(node=_NODE_IDS)
+    def remove_node(self, node):
+        if node in self.topo:
+            self.topo.remove_node(node)
+        else:
+            with pytest.raises(TopologyError):
+                self.topo.remove_node(node)
+
+    @rule(a=_NODE_IDS, b=_NODE_IDS, up=st.booleans())
+    def set_link_state(self, a, b, up):
+        if _key(a, b) in self.topo._links:
+            self.topo.set_link_state(a, b, up)
+        else:
+            with pytest.raises(TopologyError):
+                self.topo.set_link_state(a, b, up)
+
+    @rule(node=_NODE_IDS, up=st.booleans())
+    def set_node_state(self, node, up):
+        if node in self.topo:
+            self.topo.set_node_state(node, up)
+        else:
+            with pytest.raises(TopologyError):
+                self.topo.set_node_state(node, up)
+
+    @invariant()
+    def queries_match_recomputation(self):
+        topo = self.topo
+        for node in topo.nodes:
+            expected = oracle_up_neighbors(topo, node)
+            got = topo.neighbors(node)
+            assert got == expected
+            got.append("stray")
+            got.reverse()
+            assert topo.neighbors(node) == expected
+            nbrs = topo.neighbor_set(node)
+            assert isinstance(nbrs, frozenset)
+            assert nbrs == set(expected)
+            assert topo.neighbors(node, only_up=False) == \
+                list(topo._adj[node])
+        probes = topo.nodes + [_GHOST]
+        for a in probes:
+            for b in probes:
+                stored = topo._links.get(_key(a, b))
+                assert topo.has_link(a, b) == (stored is not None)
+                try:
+                    found = topo.link(a, b)
+                except TopologyError:
+                    found = None
+                assert found is stored
+        for ghost in range(_GHOST + 1):
+            if ghost not in topo:
+                with pytest.raises(TopologyError):
+                    topo.neighbors(ghost)
+                with pytest.raises(TopologyError):
+                    topo.neighbor_set(ghost)
+
+
+TestTopologyCache = TopologyCacheMachine.TestCase
+TestTopologyCache.settings = settings(STATE_MACHINE_SETTINGS,
+                                      stateful_step_count=25)
 
 
 # ----------------------------------------------------------------------

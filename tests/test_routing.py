@@ -102,6 +102,25 @@ class TestWLIAdaptiveRouter:
         with pytest.raises(ValueError):
             WLIAdaptiveRouter(sim, hello_interval=0.0)
 
+    def test_neighbor_set_of_unknown_node_is_empty(self):
+        sim, topo, fabric, ships, routers = adaptive_net(3)
+        assert routers[1]._neighbor_set() == {0, 2}
+        topo.remove_node(1)  # the ship outlives its node
+        assert routers[1]._neighbor_set() == frozenset()
+        assert routers[1].next_hop(1, 2) is None
+
+    def test_neighbor_set_propagates_other_errors(self):
+        class NeighboursOnly:
+            """A topology stand-in that predates ``neighbor_set``."""
+
+            def neighbors(self, node):
+                return [0]
+
+        sim, topo, fabric, ships, routers = adaptive_net(2)
+        fabric.topology = NeighboursOnly()
+        with pytest.raises(AttributeError):
+            routers[1]._neighbor_set()
+
 
 class TestDistanceVectorRouter:
     def test_advertisements_build_routes(self):
