@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-ablate bench-agenda \
+.PHONY: install test bench bench-smoke bench-ablate \
 	bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
@@ -40,20 +40,14 @@ bench-smoke:
 		--scale short --out /tmp/bench-smoke \
 		--compare BENCH_baseline.json --fail-over 25
 	@echo "bench-smoke: digests match baseline, throughput in budget"
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_agenda.py --quick
-	@echo "bench-smoke: agenda microbenchmark (informational, not gated)"
 
-# Per-switch ablation proof: every optimization switch individually
-# disabled must reproduce the all-on digest (covers agenda_calendar,
-# batch_delivery and object_pool along with the older switches).
+# Per-switch ablation proof: each of the four optimization switches
+# (kernel_fast_loop, cow_clone, admission_memo, digest_cache) disabled
+# in turn, and all of them together, must reproduce the all-on digest.
 bench-ablate:
 	PYTHONPATH=src $(PYTHON) -m repro bench event-loop shuttle-storm \
 		--ablate --seed 42 --scale short
 	@echo "bench-ablate: per-switch digests stable"
-
-# Full heap-vs-calendar agenda profile table (informational).
-bench-agenda:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_agenda.py
 
 # Sharded-execution gate: run every shardable scenario partitioned
 # across 2 worker processes and require byte-identical digests against

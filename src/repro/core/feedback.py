@@ -17,16 +17,8 @@ the paper's named ones are predefined constants.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
-
-import numpy as np
-
-from ..perf.switches import switches as _opt
-
-#: Below this many samples the vectorized batch path costs more than
-#: the scalar loop it replaces.
-_BATCH_MIN = 8
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 
 class Dimension:
@@ -151,72 +143,11 @@ class FeedbackBus:
     def observe_batch(self, dimension: str, metric: str,
                       items: Sequence[Tuple[Hashable, float]]
                       ) -> List[float]:
-        """Report many samples of one ``(dimension, metric)`` at once.
-
-        Byte-identical to calling :meth:`observe` per item, in item
-        order: the EWMA update is the same ``a*x + (1-a)*p`` IEEE-754
-        expression evaluated elementwise in float64, controller state
-        transitions and obs routing run per item in item order, and a
-        batch with duplicate keys (whose EWMAs chain within the batch)
-        falls back to the scalar loop.  Behind ``perf.switches.
-        batch_delivery``; returns the new smoothed levels.
-        """
-        items = list(items)
-        n = len(items)
-        if not _opt.batch_delivery or n < _BATCH_MIN:
-            return [self.observe(dimension, key, metric, value)
-                    for key, value in items]
-        tags: List[Tag] = [(dimension, key, metric) for key, _ in items]
-        if len(set(tags)) != n:
-            return [self.observe(dimension, key, metric, value)
-                    for key, value in items]
-        self.observations += n
-        ewma = self._ewma
-        counts = self._counts
-        prev = [ewma.get(tag) for tag in tags]
-        values = np.fromiter((value for _, value in items),
-                             dtype=np.float64, count=n)
-        prevs = np.fromiter((0.0 if p is None else p for p in prev),
-                            dtype=np.float64, count=n)
-        # Elementwise float64: two products and one sum per element —
-        # the exact scalar expression, so results are bit-identical.
-        smoothed = self.alpha * values + (1.0 - self.alpha) * prevs
-        fresh = np.fromiter((p is None for p in prev),
-                            dtype=np.bool_, count=n)
-        levels = np.where(fresh, values, smoothed).tolist()
-        for i, tag in enumerate(tags):
-            ewma[tag] = levels[i]
-            counts[tag] = counts.get(tag, 0) + 1
-        obs = self.sim.obs
-        observing = obs.on
-        if observing:
-            for i, (key, _) in enumerate(items):
-                obs.feedback_observations.inc(dimension=dimension,
-                                              metric=metric)
-                obs.feedback_level.set(levels[i], dimension=dimension,
-                                       key=key, metric=metric)
-        controllers = self._controllers.get((dimension, metric), ())
-        if controllers:
-            # Vectorized band prescreen: update() can only transition
-            # when the level leaves [lower, upper], so the mask is a
-            # sound superset of the firing set; the masked items run
-            # the real (stateful) update in item order.
-            arr = np.asarray(levels)
-            screens = []
-            for controller in controllers:
-                upper = controller.setpoint * (1.0 + controller.hysteresis)
-                lower = controller.setpoint * (1.0 - controller.hysteresis)
-                screens.append(((arr > upper) | (arr < lower)).tolist())
-            for i, (key, _) in enumerate(items):
-                for j, controller in enumerate(controllers):
-                    if not screens[j][i]:
-                        continue
-                    fired = controller.update(key, levels[i])
-                    if fired is not None and observing:
-                        obs.controller_firings.inc(dimension=dimension,
-                                                   metric=metric,
-                                                   direction=fired)
-        return levels
+        """Report many samples of one ``(dimension, metric)`` at once:
+        :meth:`observe` per item, in item order.  Returns the new
+        smoothed levels."""
+        return [self.observe(dimension, key, metric, value)
+                for key, value in items]
 
     def level(self, dimension: str, key: Hashable,
               metric: str) -> Optional[float]:

@@ -27,13 +27,7 @@ import json
 import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from ..perf.switches import switches as _opt
-
-#: Below this many facts the vectorized sweep costs more than the
-#: scalar pass it replaces.
-_SWEEP_BATCH_MIN = 32
 
 # fork-inherited id sequence: every shard replays the same
 # construction order, so per-process copies advance identically
@@ -321,46 +315,11 @@ class KnowledgeBase:
     # -- lifetime ------------------------------------------------------------
     def sweep(self, now: float) -> List[Fact]:
         """Evict every fact below its frequency threshold; returns them."""
-        if _opt.batch_delivery and len(self._facts) >= _SWEEP_BATCH_MIN:
-            dead = self._sweep_dead_vector(now)
-        else:
-            dead = [f for f in self._facts.values()
-                    if not f.alive(now, self.decay_rate)]
+        dead = [f for f in self._facts.values()
+                if not f.alive(now, self.decay_rate)]
         for fact in dead:
             self._remove(fact)
         self.evictions += len(dead)
-        return dead
-
-    def _sweep_dead_vector(self, now: float) -> List[Fact]:
-        """Vectorized liveness screen for :meth:`sweep`.
-
-        ``np.exp`` may differ from ``math.exp`` by a couple of ulp, so
-        the vector pass only *classifies* facts whose decayed weight
-        clears the threshold by a safety margin far above that error;
-        the borderline band re-runs the scalar :meth:`Fact.alive`
-        oracle.  Eviction membership and order are therefore
-        bit-identical to the reference sweep.
-        """
-        facts = list(self._facts.values())
-        n = len(facts)
-        rate = self.decay_rate
-        w0 = np.fromiter((f._weight for f in facts),
-                         dtype=np.float64, count=n)
-        t0 = np.fromiter((f._weight_time for f in facts),
-                         dtype=np.float64, count=n)
-        thr = np.fromiter((f.threshold for f in facts),
-                          dtype=np.float64, count=n)
-        dt = now - t0
-        np.maximum(dt, 0.0, out=dt)
-        weight = w0 * np.exp(-rate * dt)
-        # Margin ~1e4 x the worst relative ulp drift of np.exp.
-        margin = 8e-12 * np.maximum(weight, thr)
-        surely_dead = weight < thr - margin
-        surely_alive = weight > thr + margin
-        dead: List[Fact] = []
-        for i in np.flatnonzero(~surely_alive).tolist():
-            if surely_dead[i] or not facts[i].alive(now, rate):
-                dead.append(facts[i])
         return dead
 
     def touch_class(self, fact_class: str, now: float,

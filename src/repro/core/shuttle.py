@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from ..obs import TRACE_META_KEY
-from ..perf import pool as _pool
 from ..perf.switches import switches as _opt
 from ..substrates.hardware import Bitstream
 from ..substrates.nodeos import CodeModule
@@ -267,12 +266,7 @@ class Shuttle(Datagram, Ployon):
         is replicated: ``payload`` is dropped, ``morphs`` resets to 0,
         size/manifest are carried over instead of recomputed.
         """
-        if _opt.object_pool:
-            twin = _pool.shuttle_pool.grab()
-            if twin is None:
-                twin = Shuttle.__new__(Shuttle)
-        else:
-            twin = Shuttle.__new__(Shuttle)
+        twin = Shuttle.__new__(Shuttle)
         twin.packet_id = next(_packet_ids)
         twin.src = self.src
         twin.dst = self.dst
@@ -293,22 +287,6 @@ class Shuttle(Datagram, Ployon):
         twin.morphs = 0
         twin.data = self.data
         return twin
-
-    def _scrub(self) -> "Shuttle":
-        """Drop every object reference before free-list parking
-        (``perf.switches.object_pool``); the next :meth:`_fast_clone`
-        acquire reassigns every slot."""
-        self.src = None
-        self.dst = None
-        self.payload = None
-        self.meta = None
-        self.flow_id = None
-        self.directives = ()
-        self.credential = None
-        self.interface = None
-        self.target_class = None
-        self.data = None
-        return self
 
     def __repr__(self) -> str:
         ops = [d.op for d in self.directives]
@@ -363,12 +341,7 @@ class Jet(Shuttle):
         """
         if budget < 0:
             raise ValueError("negative replicate budget")
-        if _opt.object_pool:
-            copy = _pool.jet_pool.grab()
-            if copy is None:
-                copy = Jet.__new__(Jet)
-        else:
-            copy = Jet.__new__(Jet)
+        copy = Jet.__new__(Jet)
         copy.packet_id = next(_packet_ids)
         copy.src = self.src
         copy.dst = new_dst
@@ -400,17 +373,6 @@ class Jet(Shuttle):
         twin.hops = self.hops
         return twin
 
-    def _scrub(self) -> "Jet":
-        super()._scrub()
-        self.visited = None
-        return self
-
     def __repr__(self) -> str:
         return (f"<Jet #{self.packet_id} {self.src}->{self.dst} "
                 f"budget={self.replicate_budget}>")
-
-
-# Exact-type release dispatch for the fabric's delivery terminus (the
-# physical substrate must not import core classes directly).
-_pool.register(Shuttle, _pool.shuttle_pool)
-_pool.register(Jet, _pool.jet_pool)

@@ -211,10 +211,8 @@ class WanderingNetwork:
             ship.tick_roles()
         self.engine.pulse()
         self.overlays.resync()
-        # MFP: per-node workload observations feed the bus each pulse —
-        # one vectorized batch update per pulse instead of N scalar
-        # calls (falls back to the scalar loop, same order, when
-        # batch_delivery is off).
+        # MFP: per-node workload observations feed the bus each pulse,
+        # in ship order.
         self.feedback.observe_batch(
             Dimension.PER_NODE, "cpu-backlog",
             [(ship.ship_id, ship.nodeos.cpu.backlog)

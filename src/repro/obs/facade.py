@@ -234,7 +234,7 @@ class Observability:
         # per-configuration: kernel agenda health (mirrored from
         # Simulator.agenda_stats at every run() exit; the repro_kernel_
         # prefix is digest-excluded because op tallies legitimately
-        # differ across digest-equivalent agenda/loop strategies).
+        # differ between the digest-equivalent run loops).
         self.kernel_agenda_ops = r.gauge(
             "repro_kernel_agenda_ops",
             "Kernel agenda lifetime operation counters, by op "

@@ -32,9 +32,10 @@ from .switches import DEFAULTS, all_disabled, configured, switches
 #: Schema version of the BENCH_*.json files.  Version 2 added
 #: ``wall_times_s`` (per-repeat wall clocks), ``workers``/``backend``
 #: and optional ``shard_stats``; version 3 added ``agenda_stats``
-#: (agenda kind + insert/pop/purge/max-batch tallies).  :func:`compare`
-#: reads only the fields shared by every version, so older files still
-#: gate fine.
+#: (insert/pop/purge/max-batch tallies; its ``kind`` and ``batched``
+#: keys were dropped once a single agenda and one fast loop remained).
+#: :func:`compare` reads only the fields shared by every version, so
+#: older files still gate fine.
 BENCH_VERSION = 3
 
 
@@ -196,11 +197,7 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
                 f"scale={scale!r}: counters drifted between passes")
         counters, work = pass_counters, pass_work
         wall_times.append(elapsed)
-    agenda_stats: Dict[str, Any] = {
-        "kind": "calendar" if switches.agenda_calendar else "heap",
-        "batched": bool(switches.batch_delivery),
-    }
-    agenda_stats.update(tally_delta(tally_mark))
+    agenda_stats = tally_delta(tally_mark)
     result = BenchResult(name, seed, scale, switches.as_dict(), repeats,
                          min(wall_times), counters, work,
                          wall_times_s=wall_times,

@@ -1,11 +1,13 @@
-"""Optimization switches: every measured hot-path optimization is
-individually toggleable.
+"""Optimization switches: every measured hot-path optimization that
+keeps a reference path is individually toggleable.
 
 The determinism contract of the perf work is *provable equivalence*:
 for any seeded scenario, the run digest must be byte-identical with an
 optimization on or off.  That proof needs a way to run the unoptimized
 reference path, so every optimization guards itself on one of the flags
-below instead of deleting the code it replaces.
+below instead of deleting the code it replaces.  A switch stays only
+while its fast path wins a measured A/B (the ledger in
+``docs/PERFORMANCE.md``); a path that loses is deleted, not kept off.
 
 The flags are process-global (one :data:`switches` instance) because
 the optimized call sites are constructors and kernel loops that have no
@@ -16,9 +18,10 @@ exit.
 Flags
 -----
 ``kernel_fast_loop``
-    :meth:`Simulator.run` uses the inlined single-purge event loop
-    (attribute lookups hoisted, one heap pop per event) instead of the
-    reference ``peek()``/``step()`` loop.
+    :meth:`Simulator.run` uses the batched loop — one fused agenda call
+    drains every event sharing the head timestamp, hoisted lookups,
+    inlined ``Event.fire`` for singletons — instead of the reference
+    ``peek()``/``step()`` loop.
 ``cow_clone``
     :meth:`Shuttle.clone` / :meth:`Jet.spawn_copy` freeze the directive
     cargo into a shared tuple and copy slots directly instead of
@@ -31,26 +34,6 @@ Flags
     :meth:`KnowledgeBase.content_digest` and
     :meth:`Observability.metrics_digest` reuse their last canonical
     JSON/sha256 result until a dirty bit invalidates it.
-``agenda_calendar``
-    :class:`Simulator` stores pending events in a calendar-queue agenda
-    (sorted buckets, O(1) amortized insert) instead of the reference
-    binary heap.  Selected at simulator *construction*; both structures
-    pop the exact ``(time, priority, seq)`` order and agree on entry
-    counts at every push point, so ``peak_agenda_depth`` and all run
-    digests are byte-identical.
-``batch_delivery``
-    The fast event loop drains every event sharing the head timestamp
-    into one batch (canonical intra-batch order preserved, including
-    same-instant insertions from callbacks), and the MFP hot paths gain
-    vectorized numpy batch entry points
-    (:meth:`FeedbackBus.observe_batch`, :meth:`KnowledgeBase.sweep`,
-    the adaptive router's hello-vector screen) that are IEEE-exact or
-    scalar-oracle-checked at decision boundaries.
-``object_pool``
-    ``Event``/``Shuttle``/``Jet`` instances are recycled through free
-    lists (:mod:`repro.perf.pool`) with exact id-counter-draw parity;
-    release sites prove last-reference ownership via a refcount guard,
-    so retained objects are never recycled.
 """
 
 from __future__ import annotations
@@ -64,9 +47,6 @@ DEFAULTS: Dict[str, bool] = {
     "cow_clone": True,
     "admission_memo": True,
     "digest_cache": True,
-    "agenda_calendar": True,
-    "batch_delivery": True,
-    "object_pool": True,
 }
 
 

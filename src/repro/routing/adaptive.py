@@ -25,15 +25,8 @@ import itertools
 from typing import (Dict, FrozenSet, Hashable, List, NamedTuple, Optional,
                     Tuple)
 
-import numpy as np
-
-from ..perf.switches import switches as _opt
 from ..substrates.phys import Datagram, TopologyError
 from ..substrates.sim import Simulator
-
-#: Below this many hello-vector rows the vectorized cost screen costs
-#: more than the scalar loop it replaces.
-_HELLO_BATCH_MIN = 16
 
 NodeId = Hashable
 
@@ -190,9 +183,6 @@ class WLIAdaptiveRouter:
 
     def _on_hello(self, ship, packet, from_node) -> None:
         vector = packet.payload["vector"]
-        if _opt.batch_delivery and len(vector) >= _HELLO_BATCH_MIN:
-            self._apply_hello_batch(ship, vector, from_node)
-            return
         for dst, cost in vector.items():
             if dst == ship.ship_id:
                 continue
@@ -204,33 +194,6 @@ class WLIAdaptiveRouter:
                     del self.routes[dst]
                 continue
             self.learn_route(dst, from_node, new_cost)
-
-    def _apply_hello_batch(self, ship, vector: Dict[NodeId, float],
-                           from_node: NodeId) -> None:
-        """Vectorized hello-vector screen (``perf.switches.
-        batch_delivery``): the ``cost + 1.0`` increments and the
-        poisoned-route comparisons are one float64 array pass — both
-        IEEE-exact, so branch decisions and learned costs are
-        bit-identical to the scalar loop — and the stateful
-        ``learn_route`` updates then run in vector order as before."""
-        dsts = list(vector)
-        n = len(dsts)
-        costs = np.fromiter((vector[dst] for dst in dsts),
-                            dtype=np.float64, count=n)
-        costs += 1.0
-        poisoned = (costs >= self.INFINITY).tolist()
-        new_costs = costs.tolist()
-        me = ship.ship_id
-        routes = self.routes
-        for i, dst in enumerate(dsts):
-            if dst == me:
-                continue
-            if poisoned[i]:
-                current = routes.get(dst)
-                if current is not None and current.next_hop == from_node:
-                    del routes[dst]
-                continue
-            self.learn_route(dst, from_node, new_costs[i])
 
     # -- reactive half ------------------------------------------------------
     def _start_discovery(self, dst: NodeId) -> None:

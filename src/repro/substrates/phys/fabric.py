@@ -12,12 +12,9 @@ the paper's ad-hoc scenarios depend on this loss mode.
 
 from __future__ import annotations
 
-from sys import getrefcount as _refcount
 from typing import Dict, Hashable, Optional, Protocol, Tuple
 
 from ...obs import TRACE_META_KEY
-from ...perf import pool as _pool
-from ...perf.switches import switches as _opt
 from ..sim import Simulator, TokenBucket
 from .packet import Datagram
 from .topology import Link, Topology, TopologyError
@@ -162,21 +159,6 @@ class NetworkFabric:
         self.sim.trace.emit("fabric.deliver", link=link.name,
                             packet=packet.packet_id, to=to_node)
         host.receive(packet, from_node)
-        # Delivery terminus: a fully consumed capsule is recycled
-        # (``perf.switches.object_pool``).  The refcount proves sole
-        # ownership — exactly three references exist for a dead packet
-        # here: this frame's local, the scheduling closure's args tuple
-        # (alive until the delivery event finishes firing), and the
-        # getrefcount argument itself.  Anything retained downstream
-        # (forwarded, ledgered, dead-lettered) counts higher and is
-        # left alone.  NOTE: _deliver has exactly two callers — the
-        # call_in closure in _schedule_delivery and the shard fabric's
-        # handoff injector (whose extra frame ref makes the guard skip,
-        # conservatively); a new direct caller must re-audit this count.
-        if _opt.object_pool:
-            free = _pool.RECYCLABLE.get(type(packet))
-            if free is not None and _refcount(packet) == 3:
-                free.put(packet._scrub())
 
     def _drop(self, packet: Datagram, from_node: NodeId, to_node: NodeId,
               reason: str) -> bool:

@@ -1,52 +1,26 @@
-"""Pluggable agenda structures for the discrete-event kernel.
+"""The discrete-event kernel's agenda: a binary heap of entry tuples.
 
-The :class:`~repro.substrates.sim.kernel.Simulator` used to own its
-binary heap directly; this module factors the pending-event store out
-behind a small common surface so alternative structures can be proven
-digest-identical through the bench ``compare()`` oracle and then
-switched on per run (``perf.switches.agenda_calendar``).
+:class:`HeapAgenda` stores ``(time, priority, seq, event)`` tuples under
+``heapq``.  Storing tuples instead of :class:`Event` objects moves every
+ordering comparison from a Python ``__lt__`` call (which builds two key
+tuples per probe) into C tuple comparison; the order is the kernel's
+total event order because ``seq`` is unique, so the tuple prefix
+``(time, priority, seq)`` already decides every comparison.
 
-Two implementations
--------------------
-:class:`HeapAgenda`
-    The reference structure — ``heapq`` over ``(time, priority, seq,
-    event)`` tuples.  Storing tuples instead of :class:`Event` objects
-    moves every ordering comparison from a Python ``__lt__`` call (which
-    builds two key tuples per probe) into C tuple comparison; the heap
-    order is unchanged because ``seq`` is unique, so the tuple prefix
-    ``(time, priority, seq)`` is already a total order.
-
-:class:`CalendarAgenda`
-    A calendar queue (Brown 1988): a power-of-two array of sorted
-    buckets indexed by ``int(time / width)``.  Insertion is a
-    ``bisect.insort`` into one short bucket; the minimum is found by
-    scanning buckets from the last-popped position.  Same-time events
-    always share ``int(time / width)`` and therefore a bucket, so tie
-    order — and every run digest — is identical to the heap's.
-
-Ordering/parity contract (shared by both)
------------------------------------------
+Depth contract
+--------------
 * Entries leave in exact ``(time, priority, seq)`` order.
 * ``__len__`` counts *every* stored entry, pending or lazily
-  cancelled — ``peak_agenda_depth`` is digest-visible, so both
-  structures must agree on the count at every push point.
+  cancelled — ``peak_agenda_depth`` is digest-visible, so the kernel's
+  batched loop and its reference loop must see the same count at every
+  push point.
 * Dead (fired/cancelled) entries are discarded only when they reach the
-  global-minimum position (the heap's lazy-cancellation boundary); a
-  calendar must not purge opportunistically elsewhere, or ``len()``
-  would drift from the reference at some push point.
-
-Minimum-search invariant (calendar): bucket ``k`` only holds entries
-whose ``int(time / width) % nbuckets == k``, and the scan from the
-last-popped epoch checks candidate heads with the *same* integer
-division used at insert — never reconstructed float window bounds — so
-a boundary-ulp disagreement between placement and search cannot pop
-out of order.
+  head (the lazy-cancellation boundary).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
 from .events import Event
@@ -94,7 +68,7 @@ def tally_delta(snapshot: Dict[str, int]) -> Dict[str, int]:
     }
 
 
-def tally_absorb(agenda: "HeapAgenda | CalendarAgenda", mark: List[int],
+def tally_absorb(agenda: "HeapAgenda", mark: List[int],
                  max_batch: int) -> None:
     """Fold one simulator's agenda counters into the process tally.
 
@@ -113,13 +87,11 @@ def tally_absorb(agenda: "HeapAgenda | CalendarAgenda", mark: List[int],
 
 
 # ----------------------------------------------------------------------
-# reference agenda
+# the agenda
 # ----------------------------------------------------------------------
 
 class HeapAgenda:
-    """Binary-heap agenda over C-comparable entry tuples (reference)."""
-
-    kind = "heap"
+    """Binary-heap agenda over C-comparable entry tuples."""
 
     __slots__ = ("_heap", "inserts", "pops", "purges")
 
@@ -169,27 +141,9 @@ class HeapAgenda:
             return ev
         return None
 
-    def pop_batch(self, out: List[Entry]) -> float:
-        """Drain every entry sharing the head timestamp into ``out``.
-
-        Caller must have run :meth:`next_time` (head is pending).  Dead
-        entries *behind* the head at the same time ride along — the
-        reference loop would purge them only at later pop boundaries,
-        and the kernel's combined depth accounting relies on them still
-        being counted until the batch cursor passes them.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        t = heap[0][0]
-        while heap and heap[0][0] == t:
-            out.append(heappop(heap))
-        self.pops += len(out)
-        return t
-
     def pop_run(self, out: List[Entry]):
         """Fused purge + peek + same-timestamp drain: one call per
-        kernel iteration instead of the ``next_time``/``pop_batch``
-        pair.
+        kernel iteration.
 
         Three-way return, discriminated by type (the singleton case is
         the overwhelmingly common one on jittered schedules, and
@@ -201,6 +155,11 @@ class HeapAgenda:
         * the drained **timestamp** (float) with the batch appended to
           ``out`` when several do;
         * ``inf`` (float) leaving ``out`` empty when nothing is pending.
+
+        Dead entries *behind* a live head at the same timestamp ride
+        along in ``out``: the kernel discards them when its batch cursor
+        reaches them, the boundary at which a one-at-a-time pop would
+        purge them, so they stay counted until then.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -241,333 +200,3 @@ class HeapAgenda:
                 if not (entry[3]._fired or entry[3]._cancelled)]
         live.sort()
         return [entry[3] for entry in live]
-
-
-# ----------------------------------------------------------------------
-# calendar queue
-# ----------------------------------------------------------------------
-
-class CalendarAgenda:
-    """Calendar-queue agenda (sorted buckets over a circular year).
-
-    Kept digest-identical to :class:`HeapAgenda` by construction: same
-    total order, same lazy-purge boundary, same ``len()`` at every push
-    point (see module docstring).
-    """
-
-    kind = "calendar"
-
-    MIN_BUCKETS = 8
-    #: Width estimation samples this many head-most entries on resize.
-    SAMPLE = 25
-    #: Bucket width = WIDTH_FACTOR × mean head gap.  Wider buckets trade
-    #: cheap C-level ``insort``/``bisect`` work inside a bucket for fewer
-    #: pure-Python epoch scans between buckets, which is the right trade
-    #: under churn (most entries die before their epoch is reached).
-    WIDTH_FACTOR = 3.0
-
-    __slots__ = ("_buckets", "_nbuckets", "_mask", "_width", "_count",
-                 "_last_time", "_grow_at", "_shrink_at", "_head",
-                 "inserts", "pops", "purges")
-
-    def __init__(self) -> None:
-        self._nbuckets = self.MIN_BUCKETS
-        self._mask = self._nbuckets - 1
-        self._buckets: List[List[Entry]] = [[] for _ in
-                                            range(self._nbuckets)]
-        self._width = 1.0
-        self._count = 0
-        self._last_time = 0.0
-        self._grow_at = 2 * self._nbuckets
-        self._shrink_at = -1
-        # Cache of the bucket holding the global minimum, filled by
-        # next_time() and consumed by the following pop — the hot
-        # peek/pop pair then runs one bucket scan per event, not two.
-        # Invariant: when set, ``_head[0]`` IS the global-minimum entry
-        # (alive or since-cancelled); any insert that could precede it
-        # clears the cache, as does every pop and resize.
-        self._head: Optional[List[Entry]] = None
-        self.inserts = 0
-        self.pops = 0
-        self.purges = 0
-
-    # -- insertion --------------------------------------------------------
-    def push(self, ev: Event) -> int:
-        # Same body as push_entry, inlined: this is the hottest insert
-        # path (one call per scheduled event).
-        t = ev.time
-        entry = (t, ev.priority, ev.seq, ev)
-        b = self._buckets[int(t / self._width) & self._mask]
-        insort(b, entry)
-        head = self._head
-        if head is not None and head is not b and entry < head[0]:
-            self._head = None
-        if t < self._last_time:
-            self._last_time = t
-        self.inserts += 1
-        self._count += 1
-        if self._count > self._grow_at:
-            self._resize(self._nbuckets * 2)
-        return self._count
-
-    def push_entry(self, entry: Entry) -> int:
-        t = entry[0]
-        b = self._buckets[int(t / self._width) & self._mask]
-        insort(b, entry)
-        head = self._head
-        if head is not None and head is not b and entry < head[0]:
-            # A new minimum may now live in a different bucket.  (An
-            # insert into the cached bucket itself keeps the cache
-            # valid: insort keeps that bucket sorted.)
-            self._head = None
-        if t < self._last_time:
-            # The scan anchor only ever advances at pops; an insert
-            # below it (legal whenever the owning clock still trails
-            # the last pop, e.g. paused-run injection) must pull it
-            # back or the minimum scan would start past the new entry.
-            self._last_time = t
-        self.inserts += 1
-        self._count += 1
-        if self._count > self._grow_at:
-            self._resize(self._nbuckets * 2)
-        return self._count
-
-    # -- minimum search ---------------------------------------------------
-    def _min_bucket(self) -> Optional[List[Entry]]:
-        """The bucket holding the global-minimum entry (``None`` when
-        empty).  Amortized O(1) when the width matches the event gap:
-        the scan starts at the last-popped epoch and a head qualifies
-        iff its own ``int(time / width)`` equals the scanned epoch —
-        the exact insert-time indexing, so placement and search can
-        never disagree at a float boundary."""
-        if not self._count:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        width = self._width
-        base = int(self._last_time / width)
-        for k in range(self._nbuckets):
-            epoch = base + k
-            b = buckets[epoch & mask]
-            if b and int(b[0][0] / width) == epoch:
-                # Advance the anchor to the found minimum — an *entry
-                # time actually present*, never a reconstructed bucket
-                # bound — so a purge-heavy stretch (lazily-cancelled
-                # tail) walks each epoch once instead of rescanning
-                # from the last pop per purge.  Safe because
-                # push_entry pulls the anchor back under any later
-                # insert below it.
-                self._last_time = b[0][0]
-                return b
-        # Sparse tail: the minimum lies beyond a full year — take the
-        # least head directly.  Distinct buckets can never hold equal
-        # times (same time => same bucket), so time alone decides.
-        best = None
-        best_t = _INF
-        for b in buckets:
-            if b and b[0][0] < best_t:
-                best = b
-                best_t = b[0][0]
-        if best is not None:
-            self._last_time = best_t
-        return best
-
-    # -- extraction -------------------------------------------------------
-    def next_time(self) -> float:
-        b = self._head
-        if b is not None:
-            entry = b[0]
-            ev = entry[3]
-            if not (ev._fired or ev._cancelled):
-                return entry[0]
-            # The cached minimum died (cancelled after the last peek);
-            # purge it here — it is still the global minimum — and
-            # fall through to a fresh scan.
-            del b[0]
-            self._count -= 1
-            self.purges += 1
-            self._head = None
-        while self._count:
-            b = self._min_bucket()
-            entry = b[0]
-            ev = entry[3]
-            if ev._fired or ev._cancelled:
-                del b[0]
-                self._count -= 1
-                self.purges += 1
-                continue
-            # No re-anchoring here: peeking must not advance the scan
-            # anchor past times that may still legally be inserted.
-            self._head = b
-            return entry[0]
-        return _INF
-
-    def pop_next(self) -> Optional[Event]:
-        b = self._head
-        self._head = None
-        while self._count:
-            if b is None:
-                b = self._min_bucket()
-            entry = b[0]
-            del b[0]
-            self._count -= 1
-            b = None            # head consumed: the next probe rescans
-            ev = entry[3]
-            if ev._fired or ev._cancelled:
-                self.purges += 1
-                continue
-            self.pops += 1
-            self._last_time = entry[0]
-            if self._count < self._shrink_at:
-                self._resize(self._nbuckets // 2)
-            return ev
-        return None
-
-    def pop_batch(self, out: List[Entry]) -> float:
-        """Drain every entry at the head timestamp (see HeapAgenda)."""
-        b = self._head
-        if b is None:
-            b = self._min_bucket()
-        else:
-            self._head = None
-        t = b[0][0]
-        if len(b) == 1:
-            out.append(b.pop())
-        elif b[-1][0] == t:
-            out.extend(b)
-            del b[:]
-        else:
-            # (t, inf) sorts after every (t, priority, seq, ev) because
-            # priority is finite.
-            hi = bisect_right(b, (t, _INF))
-            out.extend(b[:hi])
-            del b[:hi]
-        taken = len(out)
-        self._count -= taken
-        self.pops += taken
-        self._last_time = t
-        if self._count < self._shrink_at:
-            self._resize(self._nbuckets // 2)
-        return t
-
-    def pop_run(self, out: List[Entry]):
-        """Fused purge + peek + same-timestamp drain (same three-way
-        return contract as HeapAgenda ``pop_run``).
-
-        All entries sharing a timestamp land in the same bucket (the
-        index is a pure function of the time), so ``b[1][0] != t`` is a
-        complete singleton test."""
-        b = self._head
-        self._head = None
-        while self._count:
-            if b is None:
-                # Inlined first probe of _min_bucket: the next event
-                # usually shares the anchor's epoch (width is a few
-                # mean gaps), so one bucket check avoids the scan-call
-                # entirely on the hot path.
-                width = self._width
-                base = int(self._last_time / width)
-                b = self._buckets[base & self._mask]
-                if not b or int(b[0][0] / width) != base:
-                    b = self._min_bucket()
-            entry = b[0]
-            ev = entry[3]
-            if ev._fired or ev._cancelled:
-                del b[0]
-                self._count -= 1
-                self.purges += 1
-                b = None
-                continue
-            t = entry[0]
-            if len(b) == 1 or b[1][0] != t:
-                del b[0]
-                count = self._count - 1
-                self.pops += 1
-                self._count = count
-                self._last_time = t
-                if count < self._shrink_at:
-                    self._resize(self._nbuckets // 2)
-                return entry
-            if b[-1][0] == t:
-                out.extend(b)
-                del b[:]
-            else:
-                hi = bisect_right(b, (t, _INF))
-                out.extend(b[:hi])
-                del b[:hi]
-            taken = len(out)
-            count = self._count - taken
-            self.pops += taken
-            self._count = count
-            self._last_time = t
-            if count < self._shrink_at:
-                self._resize(self._nbuckets // 2)
-            return t
-        return _INF
-
-    # -- resizing ---------------------------------------------------------
-    def _resize(self, nbuckets: int) -> None:
-        if nbuckets < self.MIN_BUCKETS:
-            nbuckets = self.MIN_BUCKETS
-        self._head = None
-        entries: List[Entry] = []
-        for b in self._buckets:
-            entries.extend(b)
-        self._width = self._estimate_width(entries)
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._grow_at = 2 * nbuckets
-        self._shrink_at = (nbuckets // 2 if nbuckets > self.MIN_BUCKETS
-                           else -1)
-        buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
-        width = self._width
-        mask = self._mask
-        for entry in entries:
-            buckets[int(entry[0] / width) & mask].append(entry)
-        for b in buckets:
-            b.sort()
-        self._buckets = buckets
-
-    def _estimate_width(self, entries: List[Entry]) -> float:
-        """Bucket width from the mean gap of the head-most entries.
-
-        Sampling only near the head keeps far-future outliers (parked
-        pulse events at huge timestamps) from inflating the width into
-        a single-bucket degenerate layout."""
-        if len(entries) < 2:
-            return self._width
-        head = heapq.nsmallest(self.SAMPLE, (e[0] for e in entries))
-        gaps = [b - a for a, b in zip(head, head[1:]) if b > a]
-        if not gaps:
-            return self._width
-        width = self.WIDTH_FACTOR * (sum(gaps) / len(gaps))
-        if not (width > 0.0) or width == _INF:
-            return self._width
-        return width
-
-    # -- inspection -------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
-    def pending_count(self) -> int:
-        count = 0
-        for b in self._buckets:
-            for entry in b:
-                ev = entry[3]
-                if not (ev._fired or ev._cancelled):
-                    count += 1
-        return count
-
-    def ordered(self) -> List[Event]:
-        live: List[Entry] = []
-        for b in self._buckets:
-            live.extend(entry for entry in b
-                        if not (entry[3]._fired or entry[3]._cancelled))
-        # Concatenation of sorted runs: timsort finds them.
-        live.sort()
-        return [entry[3] for entry in live]
-
-
-def make_agenda(calendar: bool) -> "HeapAgenda | CalendarAgenda":
-    """The agenda for one simulator (selected at construction)."""
-    return CalendarAgenda() if calendar else HeapAgenda()

@@ -54,33 +54,6 @@ class Event:
         self._fn: Optional[Callable[..., Any]] = None
         self._args: tuple = ()
 
-    # -- pooling ----------------------------------------------------------
-    def _reuse(self, time: float, priority: int,
-               name: Optional[str]) -> "Event":
-        """Re-initialize a recycled instance (``perf.switches.
-        object_pool``).  Mirrors ``__init__`` exactly — including the
-        ``_seq`` draw, so id consumption is identical to a fresh
-        construction — except ``callbacks`` keeps its (cleared) list,
-        saving the allocation."""
-        self.time = float(time)
-        self.priority = int(priority)
-        self.seq = next(_seq)
-        self.value = None
-        self._fired = False
-        self._cancelled = False
-        self.name = name
-        return self
-
-    def _recycle(self) -> "Event":
-        """Scrub before parking on the free list: drop everything that
-        could pin an object graph."""
-        self.callbacks.clear()
-        self.value = None
-        self.name = None
-        self._fn = None
-        self._args = ()
-        return self
-
     # -- ordering ---------------------------------------------------------
     def sort_key(self):
         return (self.time, self.priority, self.seq)

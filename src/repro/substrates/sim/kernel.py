@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-A :class:`Simulator` owns a pluggable agenda (:mod:`repro.substrates.
+A :class:`Simulator` owns a binary-heap agenda (:mod:`repro.substrates.
 sim.agenda`) of :class:`~repro.substrates.sim.events.Event` objects and
 advances simulated time by popping the earliest event.  Processes
 (generator coroutines) are layered on top in
@@ -14,30 +14,27 @@ Design notes
 * The kernel is single-threaded by construction — the concurrency of the
   Wandering Network is *simulated* concurrency, which keeps every
   experiment reproducible.
-* The agenda structure (binary heap reference vs. calendar queue) is
-  selected at construction from ``perf.switches.agenda_calendar``; both
-  are digest-identical by the ordering/parity contract in
-  :mod:`repro.substrates.sim.agenda`.
-* With ``perf.switches.batch_delivery`` the fast loop drains every
-  event sharing the head timestamp into one batch.  Depth parity with
-  the one-at-a-time reference is kept by combined accounting: a push
-  during a batch reports ``len(agenda) + remaining batch entries``,
-  and dead batch entries stay counted until the batch cursor passes
-  them (exactly when the reference heap would have purged them).
+* Two run loops.  With ``perf.switches.kernel_fast_loop`` (the
+  default) :meth:`Simulator.run` uses the batched loop, which drains
+  every event sharing the head timestamp into one batch; with it off,
+  the one-event-at-a-time ``peek()``/``step()`` loop runs instead and
+  serves as the oracle.  Depth parity between the two is kept by
+  combined accounting: a push during a batch reports ``len(agenda) +
+  remaining batch entries``, and dead batch entries stay counted until
+  the batch cursor passes them (exactly when the reference heap would
+  have purged them).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from sys import getrefcount as _refcount
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ...obs import Observability
-from ...perf.pool import event_pool as _event_pool
 from ...perf.switches import switches as _opt
-from .agenda import Entry, make_agenda, tally_absorb
+from .agenda import Entry, HeapAgenda, tally_absorb
 from .errors import SchedulingError
-from .events import Event, NORMAL, _seq as _event_seq
+from .events import Event, NORMAL
 from .rng import RngRegistry
 from .trace import TraceBus
 
@@ -56,7 +53,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
-        self._agenda = make_agenda(_opt.agenda_calendar)
+        self._agenda = HeapAgenda()
         # Bound once: the agenda never changes after construction and
         # schedule_at is the hottest method in the kernel.
         self._agenda_push = self._agenda.push
@@ -68,11 +65,10 @@ class Simulator:
         #: entries still count).  Deterministic for a seeded run, so
         #: benchmark digests may include it.
         self.peak_agenda_depth = 0
-        # Live same-timestamp batch (``batch_delivery``): the entry
-        # list being drained, the time it fires at (None outside a
-        # batch), the cursor, and the count of entries after the
-        # cursor — consulted by schedule_at for same-instant insertion
-        # and combined depth.
+        # Live same-timestamp batch (batched loop): the entry list being
+        # drained, the time it fires at (None outside a batch), the
+        # cursor, and the count of entries after the cursor — consulted
+        # by schedule_at for same-instant insertion and combined depth.
         self._batch: List[Entry] = []
         self._batch_time: Optional[float] = None
         self._batch_index = 0
@@ -107,26 +103,7 @@ class Simulator:
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at {time} (now={self._now})")
-        if _opt.object_pool:
-            # Inlined FreeList.grab + Event._reuse (this is the hottest
-            # allocation site; the re-init mirrors Event.__init__
-            # exactly, including the _seq draw).
-            items = _event_pool.items
-            if items:
-                _event_pool.hits += 1
-                ev = items.pop()
-                ev.time = float(time)
-                ev.priority = int(priority)
-                ev.seq = next(_event_seq)
-                ev.value = None
-                ev._fired = False
-                ev._cancelled = False
-                ev.name = name
-            else:
-                _event_pool.misses += 1
-                ev = Event(time, priority, name=name)
-        else:
-            ev = Event(time, priority, name=name)
+        ev = Event(time, priority, name=name)
         if self._batch_time == time:
             # Scheduled at the very instant being drained: the event
             # belongs in the live batch, ordered by (priority, seq)
@@ -165,31 +142,15 @@ class Simulator:
         """Call ``fn(*args)`` after ``delay`` simulated seconds.
 
         This is the hottest scheduling entry point, so the whole
-        ``schedule_at`` body is inlined here (pool grab, live-batch
-        insort, agenda push, peak-depth tracking) — one frame instead of
-        three.  ``delay >= 0`` implies ``time >= now``, so the absolute
-        time check in ``schedule_at`` is vacuous and dropped.
+        ``schedule_at`` body is inlined here (live-batch insort, agenda
+        push, peak-depth tracking) — one frame instead of three.
+        ``delay >= 0`` implies ``time >= now``, so the absolute time
+        check in ``schedule_at`` is vacuous and dropped.
         """
         if delay < 0:
             raise SchedulingError(f"negative delay: {delay}")
         time = self._now + delay
-        if _opt.object_pool:
-            items = _event_pool.items
-            if items:
-                _event_pool.hits += 1
-                ev = items.pop()
-                ev.time = float(time)
-                ev.priority = int(priority)
-                ev.seq = next(_event_seq)
-                ev.value = None
-                ev._fired = False
-                ev._cancelled = False
-            else:
-                _event_pool.misses += 1
-                ev = Event(time, priority)
-        else:
-            ev = Event(time, priority)
-        ev.name = name or getattr(fn, "__name__", "call")
+        ev = Event(time, priority, name or getattr(fn, "__name__", "call"))
         ev._fn = fn
         ev._args = args
         if self._batch_time == time:
@@ -242,8 +203,6 @@ class Simulator:
         else:
             ev.fire()
         self.events_executed += 1
-        if _opt.object_pool and _refcount(ev) == 2:
-            _event_pool.put(ev._recycle())
         return True
 
     def profile(self, top: int = 10) -> Dict[str, Any]:
@@ -277,16 +236,11 @@ class Simulator:
                 f"run(until={until}) is in the past (now={self._now})")
         try:
             if _opt.kernel_fast_loop:
-                if _opt.batch_delivery:
-                    self._run_batched(until, max_events)
-                else:
-                    self._run_fast(until, max_events)
+                self._run_batched(until, max_events)
             else:
                 self._run_reference(until, max_events)
         finally:
             self._running = False
-            self._batch_time = None
-            self._batch_pending = 0
             tally_absorb(self._agenda, self._stats_mark, self.max_batch)
             if self.obs.on:
                 self.obs.sync_kernel_stats()
@@ -295,7 +249,7 @@ class Simulator:
     def _run_reference(self, until: Optional[float],
                        max_events: Optional[int]) -> None:
         """The original peek()/step() loop, kept as the semantic oracle
-        for the fast loops (``perf.switches.kernel_fast_loop = False``)."""
+        for the batched loop (``perf.switches.kernel_fast_loop = False``)."""
         executed = 0
         budget_hit = False
         while not self._stopped:
@@ -320,55 +274,6 @@ class Simulator:
                 and not self._stopped and not budget_hit):
             self._now = until
 
-    def _run_fast(self, until: Optional[float],
-                  max_events: Optional[int]) -> None:
-        """Inlined event loop: one purge-and-peek and one pop per event.
-
-        Semantically identical to :meth:`_run_reference` — same purge
-        points, same check order (until before max_events), same
-        trailing clamp of ``_now`` to ``until`` (skipped after a
-        ``max_events`` break, where pending events at times <= ``until``
-        remain) — but it hoists the method/attribute lookups out of the
-        loop and recycles consumed events when the pool is on.
-        """
-        agenda = self._agenda
-        next_time = agenda.next_time
-        pop_next = agenda.pop_next
-        pool_on = _opt.object_pool
-        put_event = _event_pool.put
-        executed = 0
-        budget_hit = False
-        while not self._stopped:
-            nxt = next_time()
-            if nxt == _INF:
-                break
-            if until is not None and nxt > until:
-                self._now = until
-                break
-            if max_events is not None and executed >= max_events:
-                budget_hit = True
-                break
-            ev = pop_next()
-            self._now = ev.time
-            flight = self._flight
-            if flight is not None:
-                flight.note_event(ev.time, ev.name)
-            prof = self._profiler
-            if prof is not None:
-                t0 = prof.clock()
-                ev.fire()
-                prof.record(ev.name or "event", prof.clock() - t0,
-                            len(agenda))
-            else:
-                ev.fire()
-            self.events_executed += 1
-            executed += 1
-            if pool_on and _refcount(ev) == 2:
-                put_event(ev._recycle())
-        if (until is not None and self._now < until
-                and not self._stopped and not budget_hit):
-            self._now = until
-
     def _run_batched(self, until: Optional[float],
                      max_events: Optional[int]) -> None:
         """Batched fast loop: drain all events at the head timestamp.
@@ -383,18 +288,17 @@ class Simulator:
         * Dead entries ride in the batch and are discarded when the
           cursor reaches them — the same boundary (after the previous
           fire, before the next) at which the reference purge drops
-          them — so combined depth matches at every push point.
-        * A ``stop()`` or ``max_events`` break re-inserts the untouched
-          batch suffix, leaving the agenda exactly as the reference
-          loop's heap would stand.
+          them — so combined depth matches at every push point.  A
+          ``stop()`` ends the drain before the next entry is inspected,
+          just as the reference loop stops before its next purge.
+        * However the drain ends early — ``stop()``, ``max_events``, or
+          a callback that raises — the untouched batch suffix goes back
+          to the agenda, leaving it exactly as the reference loop's heap
+          would stand.
         """
         agenda = self._agenda
         next_time = agenda.next_time
         pop_run = agenda.pop_run
-        pool_on = _opt.object_pool
-        put_event = _event_pool.put
-        pool_items = _event_pool.items
-        pool_cap = _event_pool.capacity
         # Sentinels collapse the per-iteration None checks into single
         # comparisons: ``nxt > _INF`` is never true, ``executed == -1``
         # is never true.
@@ -405,146 +309,142 @@ class Simulator:
         max_batch = self.max_batch
         batch = self._batch
         del batch[:]
+        # Batch cursor: entries from ``batch[i]`` on have not been
+        # reached, and the ``finally`` below re-queues them.  Slots the
+        # cursor passes are cleared, so a fired or dead entry is freed
+        # by reference counting at once instead of living to the end of
+        # its batch, where the cyclic collector's young-generation
+        # passes would walk and promote it (that cost perfbench's
+        # ``timer-churn``, with its ~100-event batches, about a fifth of
+        # its throughput).
+        i = 0
         # Attaching a flight recorder or profiler is a run-boundary
         # operation, so the hooks are hoisted out of the loop.
         flight = self._flight
         prof = self._profiler
-        while not self._stopped:
-            if executed == budget:
-                # Replicate the reference check order (inf, until,
-                # budget) at this once-per-run boundary: the budget
-                # break must not fire when the reference would have
-                # stopped on an empty agenda or clamped at a horizon
-                # first.
-                nxt = next_time()
+        try:
+            while not self._stopped:
+                if executed == budget:
+                    # Replicate the reference check order (inf, until,
+                    # budget) at this once-per-run boundary: the budget
+                    # break must not fire when the reference would have
+                    # stopped on an empty agenda or clamped at a horizon
+                    # first.
+                    nxt = next_time()
+                    if nxt == _INF:
+                        break
+                    if nxt > horizon:
+                        self._now = until
+                        break
+                    budget_hit = True
+                    break
+                ret = pop_run(batch)
+                if type(ret) is tuple:
+                    # Singleton batch (the common case on jittered
+                    # schedules): pop_run returned the lone head entry
+                    # and left ``batch`` untouched.  The head is pending
+                    # by construction (pop_run purged dead heads) and
+                    # the outer loop already ran the stop/budget checks,
+                    # so fire it without engaging the batch bookkeeping.
+                    # A callback scheduling at exactly this instant
+                    # pushes into the agenda, where it is the new head —
+                    # the same position the live-batch insort would give
+                    # it — and combined depth matches because
+                    # ``_batch_pending`` stays 0 while ``len(agenda)``
+                    # counts it.
+                    t = ret[0]
+                    if t > horizon:
+                        # Past the horizon: the entry goes back whole —
+                        # no user code ran, so no push point observes
+                        # the dip.
+                        agenda.push_entry(ret)
+                        self._now = until
+                        break
+                    self._now = t
+                    ev = ret[3]
+                    if max_batch == 0:
+                        max_batch = 1
+                    if flight is not None:
+                        flight.note_event(ev.time, ev.name)
+                    if prof is not None:
+                        t0 = prof.clock()
+                        ev.fire()
+                        prof.record(ev.name or "event", prof.clock() - t0,
+                                    len(agenda))
+                    else:
+                        # Inlined Event.fire: the event is pending by
+                        # construction here, so the cancelled/double-fire
+                        # guards cannot trigger.
+                        ev._fired = True
+                        fn = ev._fn
+                        if fn is not None:
+                            fn(*ev._args)
+                        for cb in ev.callbacks:
+                            cb(ev)
+                    self.events_executed += 1
+                    executed += 1
+                    continue
+                nxt = ret
                 if nxt == _INF:
                     break
+                i = 0
                 if nxt > horizon:
+                    # Past the horizon: the drained batch goes back whole
+                    # (the ``finally`` re-queues it from cursor 0).  No
+                    # user code runs between the drain and the re-push,
+                    # so no push point can observe the depth dip; entry
+                    # tuples are reused, so no id or RNG state is drawn.
                     self._now = until
                     break
-                budget_hit = True
-                break
-            ret = pop_run(batch)
-            if type(ret) is tuple:
-                # Singleton batch (the common case on jittered
-                # schedules): pop_run returned the lone head entry and
-                # left ``batch`` untouched.  The head is pending by
-                # construction (pop_run purged dead heads) and the outer
-                # loop already ran the stop/budget checks, so fire it
-                # without engaging the batch bookkeeping.  A callback
-                # scheduling at exactly this instant pushes into the
-                # agenda, where it is the new head — the same position
-                # the live-batch insort would give it — and combined
-                # depth matches because ``_batch_pending`` stays 0 while
-                # ``len(agenda)`` counts it.
-                t = ret[0]
-                if t > horizon:
-                    # Past the horizon: the entry goes back whole — no
-                    # user code ran, so no push point observes the dip.
-                    agenda.push_entry(ret)
-                    self._now = until
-                    break
-                self._now = t
-                ev = ret[3]
-                ret = None        # drop the entry's ref before recycle
-                if max_batch == 0:
-                    max_batch = 1
-                if flight is not None:
-                    flight.note_event(ev.time, ev.name)
-                if prof is not None:
-                    t0 = prof.clock()
-                    ev.fire()
-                    prof.record(ev.name or "event", prof.clock() - t0,
-                                len(agenda))
-                else:
-                    # Inlined Event.fire: the event is pending by
-                    # construction here, so the cancelled/double-fire
-                    # guards cannot trigger.
-                    ev._fired = True
-                    fn = ev._fn
-                    if fn is not None:
-                        fn(*ev._args)
-                    for cb in ev.callbacks:
-                        cb(ev)
-                self.events_executed += 1
-                executed += 1
-                if pool_on and _refcount(ev) == 2:
-                    # Inlined Event._recycle + FreeList.put.
-                    ev.callbacks.clear()
-                    ev.value = None
-                    ev.name = None
-                    ev._fn = None
-                    ev._args = ()
-                    if len(pool_items) < pool_cap:
-                        pool_items.append(ev)
-                        _event_pool.recycled += 1
-                    else:
-                        _event_pool.dropped += 1
-                continue
-            nxt = ret
-            if nxt == _INF:
-                break
-            if nxt > horizon:
-                # Past the horizon: the drained batch goes back whole.
-                # No user code runs between the drain and the re-push,
-                # so no push point can observe the depth dip; entry
-                # tuples are reused, so no id or RNG state is drawn.
-                for entry in batch:
-                    agenda.push_entry(entry)
-                del batch[:]
-                self._now = until
-                break
-            n = len(batch)
-            if n > max_batch:
-                max_batch = n
-            self._now = nxt
-            self._batch_time = nxt
-            i = 0
-            aborted = False
-            while i < len(batch):       # callbacks may grow the batch
-                entry = batch[i]
-                ev = entry[3]
-                if ev._fired or ev._cancelled:
-                    # Lazy-cancellation disposal at the same boundary
-                    # the reference heap purge would hit it.
-                    agenda.purges += 1
+                n = len(batch)
+                if n > max_batch:
+                    max_batch = n
+                self._now = nxt
+                self._batch_time = nxt
+                while i < len(batch):       # callbacks may grow the batch
+                    if self._stopped:
+                        break
+                    ev = batch[i][3]
+                    if ev._fired or ev._cancelled:
+                        # Lazy-cancellation disposal at the same boundary
+                        # the reference heap purge would hit it.
+                        agenda.purges += 1
+                        batch[i] = None
+                        i += 1
+                        continue
+                    if executed == budget:
+                        budget_hit = True
+                        break
+                    # Consume the entry before firing, so a raising
+                    # callback leaves only the untouched suffix for the
+                    # ``finally`` to re-queue.
+                    self._batch_index = i
                     batch[i] = None
                     i += 1
-                    continue
-                if self._stopped:
-                    aborted = True
-                    break
-                if executed == budget:
-                    budget_hit = True
-                    aborted = True
-                    break
-                self._batch_index = i
-                self._batch_pending = len(batch) - i - 1
-                if flight is not None:
-                    flight.note_event(ev.time, ev.name)
-                if prof is not None:
-                    t0 = prof.clock()
-                    ev.fire()
-                    prof.record(ev.name or "event", prof.clock() - t0,
-                                len(agenda) + len(batch) - i - 1)
-                else:
-                    ev.fire()
-                self.events_executed += 1
-                executed += 1
-                batch[i] = None          # drop the entry's ref first
-                if pool_on and _refcount(ev) == 2:
-                    put_event(ev._recycle())
-                i += 1
-            self._batch_time = None
-            self._batch_index = 0
-            self._batch_pending = 0
-            if aborted:
-                for entry in batch[i:]:
-                    agenda.push_entry(entry)
+                    self._batch_pending = len(batch) - i
+                    if flight is not None:
+                        flight.note_event(ev.time, ev.name)
+                    if prof is not None:
+                        t0 = prof.clock()
+                        ev.fire()
+                        prof.record(ev.name or "event", prof.clock() - t0,
+                                    len(agenda) + len(batch) - i)
+                    else:
+                        ev.fire()
+                    self.events_executed += 1
+                    executed += 1
+                self._batch_time = None
+                self._batch_pending = 0
+                if i < len(batch):
+                    break                   # stop() or max_events
                 del batch[:]
-                break
+        finally:
+            self._batch_time = None
+            self._batch_pending = 0
+            for entry in batch[i:]:
+                agenda.push_entry(entry)
             del batch[:]
-        self.max_batch = max_batch
+            self.max_batch = max_batch
         if (until is not None and self._now < until
                 and not self._stopped and not budget_hit):
             self._now = until
@@ -580,9 +480,9 @@ class Simulator:
     def agenda_stats(self) -> Dict[str, int]:
         """This simulator's agenda operation counters (diagnostics)."""
         a = self._agenda
-        return {"kind": a.kind, "inserts": a.inserts, "pops": a.pops,
-                "purges": a.purges, "max_batch": self.max_batch,
-                "depth": len(a), "peak_depth": self.peak_agenda_depth}
+        return {"inserts": a.inserts, "pops": a.pops, "purges": a.purges,
+                "max_batch": self.max_batch, "depth": len(a),
+                "peak_depth": self.peak_agenda_depth}
 
     def __repr__(self) -> str:
         return (f"<Simulator t={self._now:.6g} pending={self.pending_events} "
