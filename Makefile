@@ -169,11 +169,15 @@ chaos-smoke:
 # Fault-tolerant sharding gate: SIGKILL a shard worker mid-run (the
 # worker-kill campaign asserts the recovered 2-shard digest equals the
 # fault-free single-shard digest and that a restart actually
-# happened), then run a supervised 2-worker bench and require its
-# digest byte-identical to the committed baseline.  Recovery must be
-# invisible where determinism is judged.
+# happened), SIGSTOP one (the worker-stall campaign drives the missed
+# reply deadline through the shared bounded reply wait, the kill of
+# the stalled process and its replay), then run a supervised 2-worker
+# bench and require its digest byte-identical to the committed
+# baseline.  Recovery must be invisible where determinism is judged.
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-kill \
+		--seed 7
+	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-stall \
 		--seed 7
 	PYTHONPATH=src $(PYTHON) -m repro bench shard-scaling \
 		--workers 2 --backend mp --recover --seed 42 --scale short \

@@ -120,15 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "processes (mp) or the in-process oracle "
                             "(inline); default: mp")
     bench.add_argument("--recover", action="store_true",
-                       help="fault-tolerant mp backend: supervise shard "
-                            "workers, journal epochs, and recover "
-                            "crashed/stalled workers digest-identically "
-                            "(see docs/RESILIENCE.md)")
-    bench.add_argument("--checkpoint-every", type=int, default=None,
-                       metavar="N",
-                       help="with --recover: compact the epoch journal "
-                            "into checkpoints every N barriers "
-                            "(default: 8; 0 disables)")
+                       help="fault-tolerant mp backend (needs --workers "
+                            ">= 2): supervise shard workers, journal "
+                            "epochs, and recover crashed/stalled workers "
+                            "digest-identically (see docs/RESILIENCE.md)")
     bench.add_argument("--obs-out", metavar="PATH", default=None,
                        help="collect each shard's metrics/spans/profile, "
                             "merge them and write the unified JSONL "
@@ -445,19 +440,13 @@ def cmd_bench(args) -> int:
             print("bench: --recover requires --backend mp (the inline "
                   "oracle has no processes to lose)", file=sys.stderr)
             return 2
+        if args.workers < 2:
+            print("bench: --recover requires --workers >= 2 (a single "
+                  "shard runs in-process, with no workers to lose)",
+                  file=sys.stderr)
+            return 2
         from .shard import RecoveryConfig
-        kwargs = {}
-        if args.checkpoint_every is not None:
-            if args.checkpoint_every < 0:
-                print("bench: --checkpoint-every must be >= 0",
-                      file=sys.stderr)
-                return 2
-            kwargs["checkpoint_every"] = args.checkpoint_every
-        recovery = RecoveryConfig(**kwargs)
-    elif args.checkpoint_every is not None:
-        print("bench: --checkpoint-every only applies with --recover",
-              file=sys.stderr)
-        return 2
+        recovery = RecoveryConfig()
     if args.obs_out:
         from .perf import SHARD_WORKLOADS
         if names is None or len(names) != 1 \

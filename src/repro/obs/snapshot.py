@@ -308,7 +308,7 @@ class MergedObs:
                      flight_records: Sequence[Dict[str, Any]] = (),
                      span_records: Sequence[Dict[str, Any]] = ()) -> None:
         """Fold the supervisor's recovery accounting into the merged
-        view: run-wide restart/replay/checkpoint gauges (the
+        view: run-wide restart/replay gauges (the
         authoritative counts — a replaced worker's own counters die
         with it), plus the supervisor's parent-plane flight entries and
         restart/replay spans.  All families are ``repro_shard_``
@@ -328,11 +328,6 @@ class MergedObs:
             "Journaled epochs replayed into replacement workers.",
             dimension=PER_CONFIGURATION, labels=())
         replay.set(float(recovery.get("replayed_epochs", 0)))
-        ckpt = self.registry.gauge(
-            "repro_shard_checkpoint_bytes",
-            "Total bytes written into epoch-journal checkpoints.",
-            dimension=PER_CONFIGURATION, labels=())
-        ckpt.set(float(recovery.get("checkpoint_bytes", 0)))
         degraded = self.registry.gauge(
             "repro_shard_recovery_degraded",
             "1 when the restart budget was exhausted and the run fell "

@@ -24,18 +24,18 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..shard.executor import run_sharded
-from ..substrates.sim.agenda import tally_delta, tally_snapshot
 from .digest import run_digest
 from .scenarios import SCENARIOS, SHARD_WORKLOADS
 from .switches import DEFAULTS, all_disabled, configured, switches
 
 #: Schema version of the BENCH_*.json files.  Version 2 added
 #: ``wall_times_s`` (per-repeat wall clocks), ``workers``/``backend``
-#: and optional ``shard_stats``; version 3 added ``agenda_stats``
-#: (insert/pop/purge/max-batch tallies; its ``kind`` and ``batched``
-#: keys were dropped once a single agenda and one fast loop remained).
-#: :func:`compare` reads only the fields shared by every version, so
-#: older files still gate fine.
+#: and optional ``shard_stats``; version 3 added an ``agenda_stats``
+#: block, since dropped: its process-wide tally saw only the
+#: coordinator process, so it read zero for every mp-sharded run
+#: (``Simulator.agenda_stats()`` and the ``repro_kernel_agenda_*``
+#: gauges remain).  :func:`compare` reads only the fields shared by
+#: every version, so older files still gate fine.
 BENCH_VERSION = 3
 
 
@@ -46,8 +46,7 @@ class BenchResult:
                  "wall_time_s", "wall_times_s", "events_per_sec",
                  "shuttles_per_sec", "events_executed",
                  "shuttles_processed", "peak_agenda_depth", "digest",
-                 "counters", "workers", "backend", "shard_stats", "obs",
-                 "agenda_stats")
+                 "counters", "workers", "backend", "shard_stats", "obs")
 
     def __init__(self, scenario: str, seed: int, scale: str,
                  switch_state: Dict[str, bool], repeats: int,
@@ -55,8 +54,7 @@ class BenchResult:
                  work: Dict[str, int],
                  wall_times_s: Optional[Sequence[float]] = None,
                  workers: int = 1, backend: str = "inline",
-                 shard_stats: Optional[Dict[str, Any]] = None,
-                 agenda_stats: Optional[Dict[str, Any]] = None):
+                 shard_stats: Optional[Dict[str, Any]] = None):
         self.scenario = scenario
         self.seed = int(seed)
         self.scale = scale
@@ -76,11 +74,6 @@ class BenchResult:
         self.workers = int(workers)
         self.backend = backend
         self.shard_stats = shard_stats
-        #: Agenda diagnostics for the *measured* (last) pass: structure
-        #: kind, insert/pop/purge tallies and the largest same-timestamp
-        #: batch.  Coordinator-process view only — mp workers advance
-        #: their own fork-inherited tallies, which never cross the pipe.
-        self.agenda_stats = agenda_stats
         #: Merged telemetry (``MergedObs``) when the run collected it.
         #: Lives on the object only — BENCH JSON stays pure counters.
         self.obs = None
@@ -111,8 +104,6 @@ class BenchResult:
         }
         if self.shard_stats is not None:
             payload["shard_stats"] = self.shard_stats
-        if self.agenda_stats is not None:
-            payload["agenda_stats"] = self.agenda_stats
         return payload
 
     def __repr__(self) -> str:
@@ -174,11 +165,7 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
     counters = work = None
     shard_stats = None
     merged_obs = None
-    tally_mark: Dict[str, int] = {}
     for _ in range(repeats):
-        # Window the process-wide agenda tally per pass: every pass is
-        # deterministic, so the last pass's delta is representative.
-        tally_mark = tally_snapshot(reset_max=True)
         t0 = time.perf_counter()  # via: ignore[VIA003] host wall time
         if sharded:
             workload = SHARD_WORKLOADS[name](seed, scale)
@@ -197,13 +184,11 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
                 f"scale={scale!r}: counters drifted between passes")
         counters, work = pass_counters, pass_work
         wall_times.append(elapsed)
-    agenda_stats = tally_delta(tally_mark)
     result = BenchResult(name, seed, scale, switches.as_dict(), repeats,
                          min(wall_times), counters, work,
                          wall_times_s=wall_times,
                          workers=workers if sharded else 1,
-                         backend=backend, shard_stats=shard_stats,
-                         agenda_stats=agenda_stats)
+                         backend=backend, shard_stats=shard_stats)
     result.obs = merged_obs
     return result
 

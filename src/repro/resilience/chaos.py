@@ -419,7 +419,6 @@ class WorkerFaultCampaign:
                  faults: Tuple[Tuple[str, int, int], ...] = (),
                  max_restarts: int = 3,
                  barrier_deadline_s: float = 30.0,
-                 checkpoint_every: int = 8,
                  expect_restarts: int = 1,
                  expect_degraded: bool = False):
         self.name = name
@@ -432,7 +431,6 @@ class WorkerFaultCampaign:
         self.faults = tuple(faults)
         self.max_restarts = int(max_restarts)
         self.barrier_deadline_s = float(barrier_deadline_s)
-        self.checkpoint_every = int(checkpoint_every)
         self.expect_restarts = int(expect_restarts)
         self.expect_degraded = bool(expect_degraded)
 
@@ -449,7 +447,6 @@ class WorkerFaultCampaign:
         config = RecoveryConfig(
             barrier_deadline_s=self.barrier_deadline_s,
             max_restarts=self.max_restarts,
-            checkpoint_every=self.checkpoint_every,
             # Fast ladder: chaos campaigns restart on purpose and should
             # not serve real backoff pauses in CI.
             backoff_base_s=0.01, backoff_max_s=0.05,

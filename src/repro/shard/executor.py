@@ -323,15 +323,15 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
     ``obs`` on, the collect reply carries the worker's full
     :class:`~repro.obs.snapshot.ObsSnapshot` back over the pipe.
 
-    A ``("replay", entries, verify)`` message (sent by the supervisor
-    to a freshly forked replacement, see :mod:`repro.shard.supervisor`)
+    A ``("replay", entries)`` message (sent by the supervisor to a
+    freshly forked replacement, see :mod:`repro.shard.supervisor`)
     fast-forwards this replica through the journaled epoch history:
     each entry's injection batch is unpickled, injected and run to its
     barrier, and the resulting outbox is *discarded* — the original
-    worker already shipped those handoffs before it died.  With
-    ``verify`` on the discarded outboxes are fingerprinted against the
-    journaled partial digests, so a replay that diverged is detected at
-    the worker, not at the final digest."""
+    worker already shipped those handoffs before it died.  Each
+    discarded outbox is fingerprinted against its journaled partial
+    digest (when one was recorded), so a replay that diverged is
+    detected at the worker, not at the final digest."""
     import time
     workload = pickle.loads(workload_bytes)
     owned = frozenset(plan.shards[shard_index])
@@ -360,7 +360,7 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                 conn.send((fabric.drain_outbox(), sim.events_executed,
                            cpu_s))
             elif kind == "replay":
-                _, entries, verify = message
+                _, entries = message
                 from .recovery import outbox_digest
                 mismatches = 0
                 for epoch_end, batch_bytes, expected in entries:
@@ -373,7 +373,7 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                                              f"epoch#{barriers}")
                     barriers += 1
                     outbox = fabric.drain_outbox()
-                    if verify and expected is not None \
+                    if expected is not None \
                             and outbox_digest(outbox) != expected:
                         mismatches += 1
                 if sim.obs.on:

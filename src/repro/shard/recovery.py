@@ -13,17 +13,13 @@ needs to exploit that:
   the plain mp backend and handled by the supervisor;
 * :class:`EpochJournal` — every epoch's per-shard injection batch
   (pickled at send time) plus the worker outbox digests observed at the
-  barrier, in memory with optional spill of checkpoint blobs to disk;
-* :class:`Checkpoint` — the journal prefix compacted into one pickled
-  blob per shard at every ``checkpoint_every`` barriers, bounding the
-  journal's per-epoch object overhead and amortizing replay-message
-  construction (``checkpoint_bytes`` is the measured cost);
+  barrier, held in memory for the run;
 * :class:`FaultPlan` — deterministic process-level fault injection
   (SIGKILL / SIGSTOP at named barriers) for the chaos campaigns and the
   recovery test matrix;
 * :class:`RecoveryConfig` — the supervision knobs (per-barrier
   deadline, restart budget, exponential backoff drawn from a dedicated
-  seeded RNG stream, checkpoint cadence).
+  seeded RNG stream).
 
 Replay determinism also leans on one process-level invariant: the
 supervising parent never *constructs* domain objects mid-run (it only
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -129,37 +124,25 @@ class RecoveryConfig:
     respawn is exponential per shard with jitter drawn from the
     dedicated :data:`BACKOFF_STREAM` seeded stream, so even wall-clock
     pauses are a pure function of ``(seed, restart ordinal)``.
-    ``checkpoint_every`` compacts the epoch journal into pickled
-    checkpoint blobs every N barriers (0 disables checkpointing);
-    ``spill_dir`` writes those blobs to disk instead of holding them in
-    memory.  ``faults`` installs a deterministic :class:`FaultPlan`
-    (chaos campaigns, tests).
+    ``faults`` installs a deterministic :class:`FaultPlan` (chaos
+    campaigns, tests).
     """
 
-    __slots__ = ("barrier_deadline_s", "max_restarts", "checkpoint_every",
-                 "backoff_base_s", "backoff_max_s", "spill_dir",
-                 "verify_replay_digests", "faults")
+    __slots__ = ("barrier_deadline_s", "max_restarts", "backoff_base_s",
+                 "backoff_max_s", "faults")
 
     def __init__(self, barrier_deadline_s: float = 30.0,
-                 max_restarts: int = 3, checkpoint_every: int = 8,
-                 backoff_base_s: float = 0.05,
+                 max_restarts: int = 3, backoff_base_s: float = 0.05,
                  backoff_max_s: float = 1.0,
-                 spill_dir: Optional[str] = None,
-                 verify_replay_digests: bool = True,
                  faults: Optional["FaultPlan"] = None):
         if barrier_deadline_s <= 0:
             raise ValueError("barrier_deadline_s must be positive")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
         self.barrier_deadline_s = float(barrier_deadline_s)
         self.max_restarts = int(max_restarts)
-        self.checkpoint_every = int(checkpoint_every)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
-        self.spill_dir = spill_dir
-        self.verify_replay_digests = bool(verify_replay_digests)
         self.faults = faults
 
     def backoff_rng(self, seed: int) -> random.Random:
@@ -168,19 +151,21 @@ class RecoveryConfig:
 
     def __repr__(self) -> str:
         return (f"<RecoveryConfig deadline={self.barrier_deadline_s:g}s "
-                f"budget={self.max_restarts} "
-                f"checkpoint_every={self.checkpoint_every}>")
+                f"budget={self.max_restarts}>")
 
 
 # ----------------------------------------------------------------------
 # deterministic fault injection (process level)
 # ----------------------------------------------------------------------
 
-#: SIGKILL the worker right after the epoch message is sent — it dies
-#: mid-epoch, detected while the parent awaits its reply.
+#: SIGKILL the worker at the top of its barrier, before the epoch
+#: message is sent, so the pre-send sweep detects the death.  After the
+#: send the kill would race the worker's reply, and whichever won would
+#: move ``replayed_epochs`` (part of the worker campaigns' digest).
 FAULT_KILL = "kill"
-#: SIGSTOP the worker after the epoch message is sent — it hangs, the
-#: per-barrier deadline trips, and the supervisor kills and replaces it.
+#: SIGSTOP the worker right before the epoch message is sent — it
+#: hangs, the per-barrier deadline trips, and the supervisor kills and
+#: replaces it.
 FAULT_STALL = "stall"
 #: SIGKILL the worker *after* its reply was received — the death lands
 #: between barriers (mid-handoff), detected at the next send/collect.
@@ -214,7 +199,7 @@ class FaultPlan:
     """A deterministic schedule of process-level faults.
 
     The supervisor applies faults itself (it owns the ``Process``
-    handles), at exact protocol points — after the epoch send for
+    handles), at exact protocol points — before the epoch send for
     ``kill``/``stall``, after the reply for ``kill-after-reply`` — so a
     campaign's fault timeline is reproducible run over run.
     """
@@ -269,68 +254,8 @@ def outbox_digest(outbox: Sequence[Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# the epoch journal and its checkpoints
+# the epoch journal
 # ----------------------------------------------------------------------
-
-class Checkpoint:
-    """The journal prefix up to (excluding) ``upto_epoch``, compacted
-    into one pickled blob per shard.
-
-    Worker state cannot be checkpointed as a memory image — live
-    simulators hold closures on the agenda — so a checkpoint is
-    *logical*: the replay stream a replacement needs, pre-pickled in
-    one contiguous blob.  Restoring = unpickling the blob and replaying
-    it, which determinism guarantees reaches the barrier-``upto_epoch``
-    state.  Blobs optionally spill to ``spill_dir``.
-    """
-
-    __slots__ = ("upto_epoch", "blobs", "paths", "bytes")
-
-    def __init__(self, upto_epoch: int, blobs: List[bytes],
-                 spill_dir: Optional[str] = None):
-        self.upto_epoch = int(upto_epoch)
-        self.bytes = sum(len(b) for b in blobs)
-        self.paths: Optional[List[str]] = None
-        if spill_dir is None:
-            self.blobs: Optional[List[bytes]] = blobs
-            return
-        self.blobs = None
-        os.makedirs(spill_dir, exist_ok=True)
-        self.paths = []
-        for shard_index, blob in enumerate(blobs):
-            path = os.path.join(
-                spill_dir,
-                f"ckpt-e{self.upto_epoch:06d}-s{shard_index}.pkl")
-            with open(path, "wb") as fh:
-                fh.write(blob)
-            self.paths.append(path)
-
-    def load(self, shard_index: int) -> List[Tuple[float, bytes,
-                                                   Optional[str]]]:
-        """The replay entries ``(epoch_end, batch_bytes, digest)`` for
-        one shard, from memory or the spill file."""
-        if self.blobs is not None:
-            return pickle.loads(self.blobs[shard_index])
-        assert self.paths is not None
-        with open(self.paths[shard_index], "rb") as fh:
-            return pickle.loads(fh.read())
-
-    def discard(self) -> None:
-        """Drop the blob storage (superseded by a newer checkpoint)."""
-        self.blobs = None
-        if self.paths:
-            for path in self.paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            self.paths = None
-
-    def __repr__(self) -> str:
-        where = "spilled" if self.paths is not None else "in-memory"
-        return (f"<Checkpoint upto_epoch={self.upto_epoch} "
-                f"bytes={self.bytes} {where}>")
-
 
 class _EpochEntry:
     """One journaled epoch: end time, per-shard injection batches
@@ -352,20 +277,13 @@ class EpochJournal:
     ``record_send`` journals the injection batches as each epoch opens;
     ``record_digest`` stamps the worker partial digests as replies
     arrive.  ``replay_entries(shard, upto)`` assembles the exact replay
-    stream a replacement for ``shard`` needs to reach barrier ``upto``
-    — checkpoint blob first (if one covers a prefix), live tail after.
-    ``checkpoint(upto)`` compacts the covered prefix and drops its
-    per-epoch entries, bounding memory on long runs.
+    stream a replacement for ``shard`` needs to reach barrier ``upto``.
     """
 
-    def __init__(self, k: int, spill_dir: Optional[str] = None):
+    def __init__(self, k: int):
         self.k = int(k)
-        self.spill_dir = spill_dir
-        #: epoch ordinal -> entry, for epochs after the checkpoint.
+        #: epoch ordinal -> entry.
         self.entries: Dict[int, _EpochEntry] = {}
-        self.checkpoint_state: Optional[Checkpoint] = None
-        self.checkpoints_taken = 0
-        self.checkpoint_bytes_total = 0
 
     # -- recording ---------------------------------------------------------
     def record_send(self, epoch: int, epoch_end: float,
@@ -386,55 +304,20 @@ class EpochJournal:
                        ) -> List[Tuple[float, bytes, Optional[str]]]:
         """``(epoch_end, batch_bytes, expected_outbox_digest)`` for
         epochs ``[0, upto_epoch)`` of one shard, oldest first."""
-        out: List[Tuple[float, bytes, Optional[str]]] = []
-        start = 0
-        ckpt = self.checkpoint_state
-        if ckpt is not None and ckpt.upto_epoch <= upto_epoch:
-            out.extend(ckpt.load(shard_index))
-            start = ckpt.upto_epoch
-        for epoch in range(start, upto_epoch):
-            entry = self.entries[epoch]
-            out.append((entry.epoch_end, entry.batch_bytes[shard_index],
-                        entry.digests[shard_index]))
-        return out
-
-    # -- checkpointing -----------------------------------------------------
-    def checkpoint(self, upto_epoch: int) -> int:
-        """Compact epochs ``[0, upto_epoch)`` into per-shard blobs;
-        returns the blob byte count (the ``checkpoint_bytes`` cost)."""
-        blobs = [pickle.dumps(self.replay_entries(i, upto_epoch),
-                              protocol=pickle.HIGHEST_PROTOCOL)
-                 for i in range(self.k)]
-        previous = self.checkpoint_state
-        self.checkpoint_state = Checkpoint(upto_epoch, blobs,
-                                           spill_dir=self.spill_dir)
-        if previous is not None:
-            previous.discard()
-        for epoch in list(self.entries):
-            if epoch < upto_epoch:
-                del self.entries[epoch]
-        self.checkpoints_taken += 1
-        self.checkpoint_bytes_total += self.checkpoint_state.bytes
-        return self.checkpoint_state.bytes
+        entries = [self.entries[epoch] for epoch in range(upto_epoch)]
+        return [(e.epoch_end, e.batch_bytes[shard_index],
+                 e.digests[shard_index]) for e in entries]
 
     # -- accounting --------------------------------------------------------
     @property
     def journal_bytes(self) -> int:
-        """Live journal footprint: tail batches + current checkpoint."""
-        tail = sum(len(b) for entry in self.entries.values()
+        """Live journal footprint: the pickled injection batches."""
+        return sum(len(b) for entry in self.entries.values()
                    for b in entry.batch_bytes)
-        ckpt = self.checkpoint_state
-        held = (ckpt.bytes if ckpt is not None and ckpt.blobs is not None
-                else 0)
-        return tail + held
 
     def close(self) -> None:
-        if self.checkpoint_state is not None:
-            self.checkpoint_state.discard()
-            self.checkpoint_state = None
         self.entries.clear()
 
     def __repr__(self) -> str:
-        return (f"<EpochJournal k={self.k} tail={len(self.entries)} "
-                f"checkpoints={self.checkpoints_taken} "
+        return (f"<EpochJournal k={self.k} epochs={len(self.entries)} "
                 f"bytes={self.journal_bytes}>")

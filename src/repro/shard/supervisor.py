@@ -29,8 +29,8 @@ detected at the next send or at collect).
 
 With ``obs`` on, the supervisor keeps its own flight recorder and span
 tracer (shard id ``K``, span ids rebased past every worker's range) so
-restarts, replays, checkpoints and degradation appear in the merged
-telemetry next to the worker-side streams.
+restarts, replays and degradation appear in the merged telemetry next
+to the worker-side streams.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .executor import (ShardWorkload, _epoch_ends, _route, _run_inline,
-                       _stats, _sum_partials, _worker_main)
+from .executor import (ShardWorkload, _epoch_ends, _recv_deadline,
+                       _route, _run_inline, _stats, _sum_partials,
+                       _worker_main)
 from .partition import ShardPlan
 from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
                        EpochJournal, RecoveryConfig,
@@ -75,7 +76,7 @@ class ShardSupervisor:
         self.config = config
         self.mp_ctx = mp_ctx
         self.workload_bytes = pickle.dumps(workload)
-        self.journal = EpochJournal(plan.k, spill_dir=config.spill_dir)
+        self.journal = EpochJournal(plan.k)
         self.workers: List[Optional[_Worker]] = [None] * plan.k
         self.backoff = config.backoff_rng(workload.seed)
         # recovery accounting
@@ -151,28 +152,21 @@ class ShardSupervisor:
     # -- protocol primitives ----------------------------------------------
     def _await(self, worker: _Worker, deadline_s: float,
                barrier_time: float) -> Any:
-        """One reply, bounded by ``deadline_s``.  A missed deadline with
-        a live process is a *stall* (the worker is killed); a missed
-        deadline with a dead process, or EOF on the pipe, is a crash."""
-        conn, proc = worker.conn, worker.proc
-        if not conn.poll(deadline_s):
-            if proc.is_alive():
-                self.stall_kills += 1
-                proc.kill()
-                proc.join(timeout=10.0)
-                raise ShardWorkerTimeout(worker.shard_index, self.epoch,
-                                         barrier_time, deadline_s)
-            self.crashes += 1
-            raise ShardWorkerCrash(worker.shard_index, self.epoch,
-                                   barrier_time, proc.exitcode)
+        """One reply through the plain backend's bounded wait
+        (:func:`~repro.shard.executor._recv_deadline`), counted: a
+        *stall* also kills the stalled process before re-raising."""
         try:
-            return conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            proc.join(timeout=10.0)
+            return _recv_deadline(worker.conn, worker.proc,
+                                  worker.shard_index, self.epoch,
+                                  barrier_time, deadline_s)
+        except ShardWorkerTimeout:
+            self.stall_kills += 1
+            worker.proc.kill()
+            worker.proc.join(timeout=10.0)
+            raise
+        except ShardWorkerCrash:
             self.crashes += 1
-            raise ShardWorkerCrash(worker.shard_index, self.epoch,
-                                   barrier_time, proc.exitcode,
-                                   cause=repr(exc)) from exc
+            raise
 
     def _send(self, shard_index: int, message: Tuple,
               barrier_time: float, upto_epoch: int) -> None:
@@ -232,8 +226,7 @@ class ShardSupervisor:
                     barrier_time)
                 replay_span.attrs["epochs"] = len(entries)
             try:
-                worker.conn.send(
-                    ("replay", entries, self.config.verify_replay_digests))
+                worker.conn.send(("replay", entries))
                 deadline = (self.config.barrier_deadline_s
                             * max(1, len(entries)))
                 ack = self._await(worker, deadline, barrier_time)
@@ -367,13 +360,6 @@ class ShardSupervisor:
                 prev_events = events
                 self._prev_cpu = cpu
             epoch_start = epoch_end
-            if (config.checkpoint_every
-                    and (epoch + 1) % config.checkpoint_every == 0
-                    and epoch + 1 < len(ends)):
-                nbytes = self.journal.checkpoint(epoch + 1)
-                self._note("checkpoint", epoch_end,
-                           f"journal compacted below epoch {epoch + 1}",
-                           bytes=nbytes)
         # -- collect phase -------------------------------------------------
         horizon = ends[-1] if ends else 0.0
         self.epoch = len(ends)
@@ -465,8 +451,6 @@ class ShardSupervisor:
             "crashes": self.crashes,
             "replayed_epochs": self.replayed_epochs,
             "partial_digest_mismatches": self.digest_mismatches,
-            "checkpoints": self.journal.checkpoints_taken,
-            "checkpoint_bytes": self.journal.checkpoint_bytes_total,
             "journal_bytes": self.journal.journal_bytes,
             "backoff_s": round(self.backoff_s, 6),
             "restart_budget": self.config.max_restarts,

@@ -21,7 +21,7 @@ Depth contract
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .events import Event
 
@@ -31,59 +31,6 @@ from .events import Event
 Entry = Tuple[float, int, int, Event]
 
 _INF = float("inf")
-
-
-# ----------------------------------------------------------------------
-# process-wide diagnostics
-# ----------------------------------------------------------------------
-
-# Process-wide agenda-operation tally, folded in by Simulator.run() on
-# exit and read by the bench harness / obs export.  Diagnostics only:
-# never consulted by simulation logic, never part of any digest.  Shard
-# workers fork-inherit a copy and advance it independently; only the
-# coordinator's copy is ever reported.
-# via: ignore[VIA013]
-_TALLY: Dict[str, int] = {
-    "inserts": 0, "pops": 0, "purges": 0, "max_batch": 0,
-}
-
-
-def tally_snapshot(reset_max: bool = False) -> Dict[str, int]:
-    """Copy the process tally; optionally re-arm the ``max_batch`` high
-    -water mark so the next :func:`tally_delta` reports a window max."""
-    snap = dict(_TALLY)
-    if reset_max:
-        _TALLY["max_batch"] = 0
-    return snap
-
-
-def tally_delta(snapshot: Dict[str, int]) -> Dict[str, int]:
-    """Tally movement since ``snapshot`` (counters subtracted,
-    ``max_batch`` reported as the current high-water mark)."""
-    return {
-        "inserts": _TALLY["inserts"] - snapshot["inserts"],
-        "pops": _TALLY["pops"] - snapshot["pops"],
-        "purges": _TALLY["purges"] - snapshot["purges"],
-        "max_batch": _TALLY["max_batch"],
-    }
-
-
-def tally_absorb(agenda: "HeapAgenda", mark: List[int],
-                 max_batch: int) -> None:
-    """Fold one simulator's agenda counters into the process tally.
-
-    ``mark`` is the simulator-owned ``[inserts, pops, purges]`` list of
-    values already folded — repeated ``run()`` calls on one simulator
-    contribute only their delta.
-    """
-    _TALLY["inserts"] += agenda.inserts - mark[0]
-    _TALLY["pops"] += agenda.pops - mark[1]
-    _TALLY["purges"] += agenda.purges - mark[2]
-    if max_batch > _TALLY["max_batch"]:
-        _TALLY["max_batch"] = max_batch
-    mark[0] = agenda.inserts
-    mark[1] = agenda.pops
-    mark[2] = agenda.purges
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ...obs import Observability
 from ...perf.switches import switches as _opt
-from .agenda import Entry, HeapAgenda, tally_absorb
+from .agenda import Entry, HeapAgenda
 from .errors import SchedulingError
 from .events import Event, NORMAL
 from .rng import RngRegistry
@@ -75,8 +75,6 @@ class Simulator:
         self._batch_pending = 0
         #: Largest same-timestamp batch drained so far (diagnostic).
         self.max_batch = 0
-        # Agenda counters already folded into the process tally.
-        self._stats_mark = [0, 0, 0]
         self.rng = RngRegistry(seed)
         # lets the sanitizer tape stamp draws with simulated time
         self.rng.clock = self
@@ -241,7 +239,6 @@ class Simulator:
                 self._run_reference(until, max_events)
         finally:
             self._running = False
-            tally_absorb(self._agenda, self._stats_mark, self.max_batch)
             if self.obs.on:
                 self.obs.sync_kernel_stats()
         return self._now

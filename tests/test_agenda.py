@@ -13,7 +13,7 @@ Four layers of proof:
 * **batched-loop semantics** — same-instant insertion (including
   URGENT), ``stop()``, ``max_events`` and a raising callback mid-batch
   leave the agenda exactly as the reference loop would;
-* **agenda stats export** — BENCH JSON, obs gauges and
+* **agenda stats export** — obs gauges and
   ``Simulator.agenda_stats()``.
 """
 
@@ -287,15 +287,6 @@ class TestBatchedDelivery:
 # ----------------------------------------------------------------------
 
 class TestAgendaStatsExport:
-    def test_bench_json_carries_agenda_stats(self):
-        result = run_scenario("event-loop", seed=7, scale="tiny")
-        stats = result.to_dict()["agenda_stats"]
-        assert set(stats) == {"inserts", "pops", "purges", "max_batch"}
-        assert stats["inserts"] > 0
-        assert stats["pops"] > 0
-        assert stats["purges"] > 0       # event-loop cancels decoys
-        assert stats["max_batch"] >= 1
-
     def test_obs_gauges_mirrored_and_digest_excluded(self):
         sim = Simulator(seed=2)
         sim.obs.enable()

@@ -635,6 +635,15 @@ class TestBenchCli:
                          "--repeats", "1", "--out", str(tmp_path),
                          "--compare", str(tmp_path / "nope.json")]) == 2
 
+    def test_recover_without_workers_exits_2(self, tmp_path, capsys):
+        """A single shard runs in-process, so ``--recover`` would be
+        silently ignored; it is rejected instead."""
+        assert cli_main(["bench", "shard-scaling", "--scale", "tiny",
+                         "--repeats", "1", "--out", str(tmp_path),
+                         "--recover"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_json_output_parses(self, tmp_path, capsys):
         assert cli_main(["bench", "event-loop", "--scale", "tiny",
                          "--repeats", "1", "--out", str(tmp_path),

@@ -124,33 +124,6 @@ class TestDigestIdenticalRecovery:
         assert stats["supervised"] is True
         assert stats["recovery"]["worker_restarts"] == 0
 
-    def test_checkpointed_recovery(self):
-        """A tight checkpoint cadence compacts the journal; recovery
-        through a checkpointed prefix is still digest-identical."""
-        cls = SHARD_WORKLOADS["shard-scaling"]
-        base_counters, _ = run_single(cls(42, "tiny"))
-        config = _fault_config(Fault("kill", 30, 1), checkpoint_every=4)
-        counters, _, stats = run_sharded(cls(42, "tiny"), 2,
-                                         backend="mp", recovery=config)
-        assert counters == base_counters
-        rec = stats["recovery"]
-        assert rec["checkpoints"] > 0
-        assert rec["checkpoint_bytes"] > 0
-        assert rec["replayed_epochs"] == 30
-
-    def test_spilled_checkpoints(self, tmp_path):
-        cls = SHARD_WORKLOADS["shard-scaling"]
-        base_counters, _ = run_single(cls(42, "tiny"))
-        config = _fault_config(Fault("kill", 30, 0), checkpoint_every=8,
-                               spill_dir=str(tmp_path))
-        counters, _, stats = run_sharded(cls(42, "tiny"), 2,
-                                         backend="mp", recovery=config)
-        assert counters == base_counters
-        assert stats["recovery"]["checkpoints"] > 0
-        assert stats["recovery"]["checkpoint_bytes"] > 0
-        # The journal unlinks its spill blobs when the run closes.
-        assert sorted(tmp_path.iterdir()) == []
-
 
 class TestCommittedBaselineRecovery:
     """Recovery digests gate against the committed baseline — the exact
@@ -294,6 +267,72 @@ class TestTypedBarrierErrors:
             proc.join(timeout=10.0)
 
 
+class DiesOnceWorkload(SHARD_WORKLOADS["shard-scaling"]):
+    """The worker owning node ``(1, 1)`` calls ``os._exit`` once
+    mid-epoch, while the supervisor awaits its reply.
+
+    The marker file makes the death one-shot, so the replacement (and
+    any inline fallback in the test process) survives.  The oracle
+    schedules the same callback as a no-op, so ``events_executed``
+    matches the sharded run.
+    """
+
+    __slots__ = ("marker",)
+
+    def __init__(self, seed, scale, marker):
+        super().__init__(seed, scale)
+        self.marker = str(marker)
+
+    def setup(self, ctx, owned):
+        super().setup(ctx, owned)
+        if owned is None or (1, 1) in owned:
+            ctx["sim"].call_at(0.52, self._die_once, owned is not None,
+                               name="die-once")
+
+    def _die_once(self, in_worker):
+        if in_worker and not os.path.exists(self.marker):
+            open(self.marker, "x").close()
+            os._exit(13)
+
+
+class TestSupervisedReplyWait:
+    """The supervisor's reply wait and replay check, hit directly
+    rather than through the pre-send sweep that catches ``kill``
+    faults."""
+
+    def test_death_while_awaiting_reply_recovers(self, tmp_path):
+        marker = tmp_path / "died"
+        base_counters, base_work = run_single(
+            DiesOnceWorkload(42, "tiny", marker))
+        assert not marker.exists()
+        counters, work, stats = run_sharded(
+            DiesOnceWorkload(42, "tiny", marker), 2, backend="mp",
+            recovery=RecoveryConfig(**FAST))
+        assert marker.exists()
+        assert counters == base_counters
+        assert work == base_work
+        rec = stats["recovery"]
+        assert rec["crashes"] == 1
+        assert rec["worker_restarts"] == 1
+        assert not stats.get("degraded")
+
+    def test_divergent_replay_is_counted(self, monkeypatch):
+        """Journal wrong outbox digests in the parent: the replacement's
+        replay check flags every replayed epoch, and the counters are
+        still the oracle's."""
+        monkeypatch.setattr("repro.shard.supervisor.outbox_digest",
+                            lambda outbox: "0" * 16)
+        cls = SHARD_WORKLOADS["shard-scaling"]
+        base_counters, _ = run_single(cls(42, "tiny"))
+        config = _fault_config(Fault("kill", 3, 1))
+        counters, _, stats = run_sharded(cls(42, "tiny"), 2,
+                                         backend="mp", recovery=config)
+        assert counters == base_counters
+        rec = stats["recovery"]
+        assert rec["replayed_epochs"] == 3
+        assert rec["partial_digest_mismatches"] == 3
+
+
 # ----------------------------------------------------------------------
 # the epoch journal
 # ----------------------------------------------------------------------
@@ -331,47 +370,6 @@ class TestEpochJournal:
         batch = pickle.loads(entries[2][1])
         assert batch[0].packet.packet_id == 21
 
-    def test_checkpoint_compacts_and_replays_identically(self):
-        journal = self._journal()
-        before = journal.replay_entries(0, 6)
-        nbytes = journal.checkpoint(4)
-        assert nbytes > 0
-        assert sorted(journal.entries) == [4, 5]
-        assert journal.replay_entries(0, 6) == before
-        assert journal.checkpoints_taken == 1
-
-    def test_second_checkpoint_supersedes_first(self):
-        journal = self._journal()
-        journal.checkpoint(2)
-        journal.checkpoint(4)
-        assert journal.checkpoints_taken == 2
-        assert journal.replay_entries(1, 6) == self._journal() \
-            .replay_entries(1, 6)
-
-    def test_spill_writes_and_discards_files(self, tmp_path):
-        journal = EpochJournal(2, spill_dir=str(tmp_path))
-        for epoch in range(4):
-            journal.record_send(epoch, float(epoch + 1),
-                                {0: [], 1: []})
-        journal.checkpoint(2)
-        assert len(sorted(tmp_path.iterdir())) == 2
-        journal.checkpoint(4)
-        names = [p.name for p in sorted(tmp_path.iterdir())]
-        assert len(names) == 2 and all("e000004" in n for n in names)
-        journal.close()
-        assert sorted(tmp_path.iterdir()) == []
-
-    def test_journal_bytes_shrinks_after_spill(self, tmp_path):
-        inmem = self._journal()
-        spilled = EpochJournal(2, spill_dir=str(tmp_path))
-        for epoch in range(6):
-            batches = {i: [_handoff(epoch + 0.5, (0, 0), (0, 1),
-                                    epoch * 10 + i)] for i in range(2)}
-            spilled.record_send(epoch, float(epoch + 1), batches)
-        inmem.checkpoint(6)
-        spilled.checkpoint(6)
-        assert spilled.journal_bytes < inmem.journal_bytes
-
 
 # ----------------------------------------------------------------------
 # fault plans and configuration
@@ -402,8 +400,6 @@ class TestRecoveryConfig:
             RecoveryConfig(barrier_deadline_s=0.0)
         with pytest.raises(ValueError):
             RecoveryConfig(max_restarts=-1)
-        with pytest.raises(ValueError):
-            RecoveryConfig(checkpoint_every=-1)
 
     def test_backoff_stream_is_seeded(self):
         config = RecoveryConfig()
@@ -472,7 +468,6 @@ class TestRecoveryObservability:
                    if rec["name"].startswith("repro_shard_")}
         assert "repro_shard_worker_restarts" in samples
         assert "repro_shard_recovery_replay_epochs" in samples
-        assert "repro_shard_checkpoint_bytes" in samples
         assert "repro_shard_recovery_degraded" in samples
 
 
