@@ -90,8 +90,12 @@ class Fact:
         Weight saturates at :data:`MAX_WEIGHT` — it models intensity,
         not a lifetime counter.
         """
-        self._weight = min(MAX_WEIGHT,
-                           self.weight(now, decay_rate) + boost)
+        # weight() and min() inlined on the per-hop path; the
+        # conditionals are max(0.0, dt) and min(MAX_WEIGHT, w) exactly.
+        dt = now - self._weight_time
+        weight = self._weight * math.exp(
+            -decay_rate * (dt if dt > 0.0 else 0.0)) + boost
+        self._weight = weight if weight < MAX_WEIGHT else MAX_WEIGHT
         self._weight_time = now
         self.accesses += 1
         return self._weight
@@ -245,6 +249,24 @@ class KnowledgeBase:
         self.inserts += 1
         self._digest_dirty = True
         return fact
+
+    def record_fields(self, fact_class: str, value: Any, now: float,
+                      source: Optional[Hashable] = None,
+                      weight: float = 1.0) -> Fact:
+        """``record(Fact(fact_class, value, created_at=now, source=source,
+        weight=weight), now)`` without building the fact when an equal
+        one exists: the store, the returned fact and the ``ValueError``
+        for a non-positive weight are the same.  Only the skipped builds'
+        ids are not drawn, which keeps the order of stored ids.
+        """
+        if weight <= 0:
+            raise ValueError(f"non-positive initial weight {weight}")
+        existing = self.find(fact_class, value)
+        if existing is not None:
+            existing.touch(now, decay_rate=self.decay_rate)
+            return existing
+        return self.record(Fact(fact_class, value, created_at=now,
+                                source=source, weight=weight), now)
 
     def _displace_weakest(self, now: float) -> None:
         victim = min(self._facts.values(),

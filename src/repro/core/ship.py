@@ -15,6 +15,9 @@ Routing is pluggable: a router object with
 
 ``next_hop(ship_id, dst) -> Optional[node]``
     forwarding decision;
+``lookup(ship_id, dst) -> Optional[node]``
+    the same answer without side effects (optional): a ship asks its
+    neighbour's router this before rerouting around a tripped breaker;
 ``handle_control(ship, packet, from_node) -> bool``
     protocol chatter interception (optional);
 ``on_attached(ship)``
@@ -34,7 +37,7 @@ from ..obs import TRACE_META_KEY
 from ..resilience.wire import ACK_KIND, ARQ_META_KEY
 from ..substrates.hardware import Backplane, GateFabric, HardwareError
 from ..substrates.nodeos import Action, NodeOS, NodeOSError
-from ..substrates.phys import Datagram, NetworkFabric
+from ..substrates.phys import Datagram, NetworkFabric, TopologyError
 from ..substrates.sim import Simulator
 from .congruence import CongruenceTracker
 from .generations import Capability, Generation, supports
@@ -115,7 +118,7 @@ class Ship(Ployon):
         self.congruence = CongruenceTracker()
 
         #: role_id -> {"role": Role, "modal": bool, "ee": label,
-        #:             "function": NetFunction}
+        #:             "function": NetFunction, "cpu_category": str}
         self.roles: Dict[str, Dict[str, Any]] = {}
         self.active_role_id: Optional[str] = None
         self.role_changes: List[Tuple[float, Optional[str], str]] = []
@@ -221,7 +224,8 @@ class Ship(Ployon):
         function = NetFunction(role.role_id,
                                role.supporting_fact_classes)
         self.roles[role.role_id] = {"role": role, "modal": modal,
-                                    "ee": ee_label, "function": function}
+                                    "ee": ee_label, "function": function,
+                                    "cpu_category": f"role:{role.role_id}"}
         # PMP.3 bootstrap: a fresh function starts with one implanted
         # experience per supporting class, giving it a decaying initial
         # lifetime that only real demand can prolong.
@@ -307,9 +311,9 @@ class Ship(Ployon):
     # ------------------------------------------------------------------
     def record_fact(self, fact_class: str, value: Any,
                     weight: float = 1.0) -> Fact:
-        fact = Fact(fact_class, value, created_at=self.sim.now,
-                    source=self.ship_id, weight=weight)
-        return self.knowledge.record(fact, self.sim.now)
+        return self.knowledge.record_fields(fact_class, value, self.sim.now,
+                                            source=self.ship_id,
+                                            weight=weight)
 
     # ------------------------------------------------------------------
     # Lifecycle (SRP.2: born, live, die)
@@ -435,11 +439,12 @@ class Ship(Ployon):
                         breakers) -> Optional[Hashable]:
         """An alternate first hop avoiding a tripped breaker.
 
-        Prefers neighbours the routing layer can route onward from;
-        falls back to any non-blocked up neighbour (the TTL bounds any
-        detour loops).  Returns None when every alternative is blocked
-        — the send then proceeds on the original hop and fails fast at
-        the fabric, which is what feeds the breaker's recovery probes.
+        Prefers neighbours whose own router routes onward, not back
+        through this ship; falls back to any non-blocked up neighbour
+        (the TTL bounds any detour loops).  Returns None when every
+        alternative is blocked — the send then proceeds on the original
+        hop and fails fast at the fabric, which is what feeds the
+        breaker's recovery probes.
         """
         fallback = None
         for neighbor in self.neighbors():
@@ -448,17 +453,26 @@ class Ship(Ployon):
                 continue
             if neighbor == dst:
                 return neighbor
-            onward = None
-            if self.router is not None:
-                try:
-                    onward = self.router.next_hop(neighbor, dst)
-                except Exception:
-                    onward = None
+            onward = self._onward_hop(neighbor, dst)
             if onward is not None and onward != self.ship_id:
                 return neighbor
             if fallback is None:
                 fallback = neighbor
         return fallback
+
+    def _onward_hop(self, neighbor: Hashable,
+                    dst: Hashable) -> Optional[Hashable]:
+        """``neighbor``'s own next hop toward ``dst``, asked through its
+        router's side-effect-free ``lookup``; None when it has no host,
+        no such router, or no route."""
+        router = getattr(self.fabric.host(neighbor), "router", None)
+        lookup = getattr(router, "lookup", None)
+        if lookup is None:
+            return None
+        try:
+            return lookup(neighbor, dst)
+        except TopologyError:
+            return None
 
     def deliver_local(self, packet: Datagram,
                       from_node: Optional[Hashable]) -> None:
@@ -499,19 +513,23 @@ class Ship(Ployon):
                 and self.router.handle_control(self, packet, from_node)):
             return
         # The standard Next-Step module sees control capsules always.
-        if self.next_step.handle(self, packet, from_node):
+        roles = self.roles
+        next_step = roles[NextStepRole.role_id]["role"]
+        if next_step.handle(self, packet, from_node):
             return
         # The single active function gets the packet next.
-        active = self.active_role
-        if active is not None and active is not self.next_step:
-            # Hardware-accelerated or plain CPU cost of running the
-            # function on this packet, accounted against its EE.
-            delay = self._role_cpu_delay(active)
-            ee = self.nodeos.ees.get(self.roles[active.role_id]["ee"])
-            if ee is not None:
-                ee.record_invocation(delay)
-            if active.handle(self, packet, from_node):
-                return
+        if self.active_role_id is not None:
+            meta = roles[self.active_role_id]
+            active = meta["role"]
+            if active is not next_step:
+                # Hardware-accelerated or plain CPU cost of running the
+                # function on this packet, accounted against its EE.
+                delay = self._role_cpu_delay(active, meta["cpu_category"])
+                ee = self.nodeos.ees.get(meta["ee"])
+                if ee is not None:
+                    ee.record_invocation(delay)
+                if active.handle(self, packet, from_node):
+                    return
         if packet.dst == self.ship_id or packet.is_broadcast:
             # Receiving is an experience too — demand facts accrue at
             # destinations, not only along the path.
@@ -548,11 +566,11 @@ class Ship(Ployon):
         if group is not None:
             self.record_fact("multicast-group", group, weight=0.5)
 
-    def _role_cpu_delay(self, role: Role) -> float:
+    def _role_cpu_delay(self, role: Role, category: str) -> float:
         speedup = max(self.fabric_hw.hardware_speedup(role.role_id),
                       self.backplane.hardware_speedup(role.role_id))
         ops = role.cpu_ops_per_packet / speedup
-        return self.nodeos.cpu.execute(ops, f"role:{role.role_id}")
+        return self.nodeos.cpu.execute(ops, category)
 
     # ------------------------------------------------------------------
     # Shuttle interpretation (the hyperactive part)

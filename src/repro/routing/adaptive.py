@@ -89,9 +89,11 @@ class WLIAdaptiveRouter:
             self._hello_task.stop()
 
     # -- route table --------------------------------------------------------
-    def _alive(self, route: Route) -> bool:
-        return (route.expires > self.sim.now
-                and route.next_hop in self._neighbor_set())
+    # One routing decision takes the neighbour set once and passes it
+    # down: nothing it runs changes the topology (sends only schedule
+    # deliveries), so the set stays valid for the whole decision.
+    def _alive(self, route: Route, neighbors: FrozenSet[NodeId]) -> bool:
+        return route.expires > self.sim.now and route.next_hop in neighbors
 
     def _neighbor_set(self) -> FrozenSet[NodeId]:
         if self.ship is None or not self.ship.alive:
@@ -101,17 +103,25 @@ class WLIAdaptiveRouter:
         except TopologyError:
             return frozenset()
 
-    def learn_route(self, dst: NodeId, next_hop: NodeId, cost: float) -> None:
+    def learn_route(self, dst: NodeId, next_hop: NodeId, cost: float,
+                    neighbors: Optional[FrozenSet[NodeId]] = None) -> None:
+        """Install ``dst`` via ``next_hop`` unless a live route through
+        another hop is no worse.  ``neighbors`` is the caller's
+        neighbour set, taken when omitted."""
         if dst == self.ship.ship_id:
             return
         current = self.routes.get(dst)
-        fresh = Route(next_hop, cost, self.sim.now + self.route_ttl)
-        if (current is None or not self._alive(current)
-                or cost < current.cost
-                or (next_hop == current.next_hop)):
-            self.routes[dst] = fresh
-            # PMP coupling: the route is an experience of the network.
-            self.ship.record_fact("route", (dst, next_hop))
+        if (current is not None and not cost < current.cost
+                and next_hop != current.next_hop):
+            if neighbors is None:
+                neighbors = self._neighbor_set()
+            if self._alive(current, neighbors):
+                return
+        self.routes[dst] = Route(next_hop, cost,
+                                 self.sim.now + self.route_ttl)
+        # PMP coupling: the route is an experience of the network.
+        self.ship.record_fact("route", (dst, next_hop))
+        if dst in self._buffered:
             self._flush_buffer(dst)
 
     def invalidate_via(self, next_hop: NodeId) -> int:
@@ -123,20 +133,33 @@ class WLIAdaptiveRouter:
         return len(dead)
 
     def route_table(self) -> Dict[NodeId, Tuple[NodeId, float]]:
+        neighbors = self._neighbor_set()
         return {dst: (r.next_hop, r.cost)
-                for dst, r in self.routes.items() if self._alive(r)}
+                for dst, r in self.routes.items()
+                if self._alive(r, neighbors)}
 
     # -- forwarding decisions ---------------------------------------------
     def next_hop(self, ship_id: NodeId, dst: NodeId) -> Optional[NodeId]:
         neighbors = self._neighbor_set()
         if dst in neighbors:
-            self.learn_route(dst, dst, 1.0)
+            self.learn_route(dst, dst, 1.0, neighbors)
             return dst
         route = self.routes.get(dst)
-        if route is not None and self._alive(route):
-            # Use refreshes the route (and its fact's weight).
+        if route is not None and self._alive(route, neighbors):
+            # Use refreshes the route's expiry.
             self.routes[dst] = Route(route.next_hop, route.cost,
                                      self.sim.now + self.route_ttl)
+            return route.next_hop
+        return None
+
+    def lookup(self, ship_id: NodeId, dst: NodeId) -> Optional[NodeId]:
+        """The hop :meth:`next_hop` would return, without learning or
+        refreshing a route."""
+        neighbors = self._neighbor_set()
+        if dst in neighbors:
+            return dst
+        route = self.routes.get(dst)
+        if route is not None and self._alive(route, neighbors):
             return route.next_hop
         return None
 
@@ -183,6 +206,7 @@ class WLIAdaptiveRouter:
 
     def _on_hello(self, ship, packet, from_node) -> None:
         vector = packet.payload["vector"]
+        neighbors = self._neighbor_set()
         for dst, cost in vector.items():
             if dst == ship.ship_id:
                 continue
@@ -193,7 +217,7 @@ class WLIAdaptiveRouter:
                 if current is not None and current.next_hop == from_node:
                     del self.routes[dst]
                 continue
-            self.learn_route(dst, from_node, new_cost)
+            self.learn_route(dst, from_node, new_cost, neighbors)
 
     # -- reactive half ------------------------------------------------------
     def _start_discovery(self, dst: NodeId) -> None:
@@ -216,7 +240,8 @@ class WLIAdaptiveRouter:
                          dst, name="rreq-timeout")
 
     def _discovery_deadline(self, dst: NodeId) -> None:
-        if dst in self.routes and self._alive(self.routes[dst]):
+        if dst in self.routes and self._alive(self.routes[dst],
+                                              self._neighbor_set()):
             return
         self._discovering.pop(dst, None)
         dropped = self._buffered.pop(dst, [])
@@ -240,7 +265,7 @@ class WLIAdaptiveRouter:
             self._send_reply(p["origin"], target, 0)
             return
         route = self.routes.get(target)
-        if route is not None and self._alive(route):
+        if route is not None and self._alive(route, self._neighbor_set()):
             # Intermediate node answers from its route cache.
             self._send_reply(p["origin"], target, int(route.cost))
             return

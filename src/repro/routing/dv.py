@@ -66,6 +66,9 @@ class DistanceVectorRouter:
             return route.next_hop
         return None
 
+    #: ``next_hop`` has no side effects.
+    lookup = next_hop
+
     def _advertise(self) -> None:
         if self.ship is None or not self.ship.alive:
             return

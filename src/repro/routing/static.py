@@ -50,6 +50,9 @@ class StaticRouter:
     def next_hop(self, ship_id: NodeId, dst: NodeId) -> Optional[NodeId]:
         return self._table_for(ship_id).get(dst)
 
+    #: ``next_hop`` has no side effects.
+    lookup = next_hop
+
     def handle_control(self, ship, packet, from_node) -> bool:
         return False
 

@@ -9,6 +9,7 @@ short-circuits repeat requests.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Dict, Hashable, List, Optional
 
 import numpy as np
@@ -67,6 +68,8 @@ class ContentWorkload:
                  feedback=None):
         if request_interval <= 0:
             raise ValueError("request_interval must be positive")
+        if n_items < 1:
+            raise ValueError(f"n_items must be >= 1, got {n_items}")
         self.sim = sim
         self.hosts = hosts
         self.clients = list(clients)
@@ -75,10 +78,19 @@ class ContentWorkload:
         self.n_items = int(n_items)
         self.item_bytes = int(item_bytes)
         self.request_interval = float(request_interval)
-        # Zipf popularity over the catalog.
+        # Zipf popularity over the catalog, kept as the normalised
+        # cumulative sum that Generator.choice(n_items, p=popularity)
+        # builds on every call: bisecting one rng.random() draw into it
+        # picks the same item from the same stream position.
         ranks = np.arange(1, n_items + 1, dtype=float)
         weights = ranks ** (-zipf_s)
-        self._popularity = weights / weights.sum()
+        popularity = weights / weights.sum()
+        if not np.isfinite(popularity).all():
+            raise ValueError(f"zipf_s={zipf_s} gives no finite popularity "
+                             f"over {n_items} items")
+        cdf = popularity.cumsum()
+        cdf /= cdf[-1]
+        self._cdf: List[float] = cdf.tolist()
         self.server = OriginServer(sim, hosts, origin, n_items=n_items,
                                    item_bytes=item_bytes)
         #: Optional MFP hook: a FeedbackBus observed per-session
@@ -122,7 +134,7 @@ class ContentWorkload:
 
     def _request(self, client: NodeId) -> None:
         rng = self.sim.rng.np_stream(f"web.zipf.{self.name}")
-        item = int(rng.choice(self.n_items, p=self._popularity))
+        item = bisect_right(self._cdf, rng.random())
         key = f"item-{item}"
         packet = Datagram(client, self.origin_node, size_bytes=96,
                           created_at=self.sim.now,

@@ -11,9 +11,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.analysis import entropy
 from repro.core.congruence import congruence
-from repro.core.knowledge import Fact, KnowledgeBase
+from repro.core.knowledge import MAX_WEIGHT, Fact, KnowledgeBase
+from repro.core.ship import Ship
+from repro.routing import WLIAdaptiveRouter
+from repro.routing.adaptive import Route
 from repro.substrates.nodeos import CodeCache, CodeModule
-from repro.substrates.phys import Topology, TopologyError
+from repro.substrates.phys import (Datagram, NetworkFabric, Topology,
+                                   TopologyError, grid_topology)
 from repro.substrates.phys.topology import _key
 from repro.substrates.sim import Simulator, TokenBucket
 from repro.verification.tla import FrozenState
@@ -47,12 +51,24 @@ class TestFactProperties:
 
     @given(fact_strategy, st.floats(min_value=0.01, max_value=100))
     def test_touch_increases_weight_up_to_saturation(self, fact, dt):
-        from repro.core.knowledge import MAX_WEIGHT
         now = fact.created_at + dt
         before = fact.weight(now)
         after = fact.touch(now)
         assert after <= MAX_WEIGHT
         assert after > before or before >= MAX_WEIGHT - 1.0
+
+    @given(fact_strategy, st.floats(min_value=0.0, max_value=1000.0),
+           st.floats(min_value=0.0, max_value=8.0),
+           st.floats(min_value=1e-4, max_value=1.0))
+    @example(Fact("a", 0, created_at=5.0, weight=7.5), 0.0, 1.0, 0.01)
+    @example(Fact("a", 0, created_at=5.0, weight=2.0), 30.0, 1.0, 0.01)
+    def test_touch_is_the_decay_formula(self, fact, dt, boost, rate):
+        w, t = fact._weight, fact._weight_time
+        now = t + dt
+        expected = min(MAX_WEIGHT,
+                       w * math.exp(-rate * max(0, now - t)) + boost)
+        assert fact.touch(now, boost, rate) == expected
+        assert (fact._weight, fact._weight_time) == (expected, now)
 
     @given(fact_strategy)
     def test_expiry_time_marks_threshold_crossing(self, fact):
@@ -135,6 +151,12 @@ kb_op_strategy = st.one_of(
               st.sampled_from(KB_VALUES),
               st.floats(min_value=0.05, max_value=4.0),
               st.floats(min_value=0.0, max_value=1.0)),
+    # record_fields on the indexed store, record(Fact(...)) on the
+    # reference: a few exact weights make displacement ties common.
+    st.tuples(st.just("fields"), st.sampled_from("xyz"),
+              st.sampled_from(KB_VALUES),
+              st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]),
+              st.sampled_from([None, "s", ("n", 1)])),
     st.tuples(st.just("sweep"), st.floats(min_value=0.0, max_value=300.0)),
 )
 
@@ -143,8 +165,13 @@ def _rec(value, weight=1.0, threshold=0.2):
     return ("record", "x", value, weight, threshold)
 
 
+def _fields(value, weight=1.0, source=None):
+    return ("fields", "x", value, weight, source)
+
+
 def _fact_rows(facts):
-    return [(f.fact_class, repr(f.value), f.accesses) for f in facts]
+    return [(f.fact_class, repr(f.value), repr(f.source), f.accesses,
+             f._weight, f._weight_time) for f in facts]
 
 
 class TestFactIndexAgainstScan:
@@ -157,6 +184,11 @@ class TestFactIndexAgainstScan:
     # Two facts on one NaN object; the indexed one dies first.
     @example([_rec(_NAN, weight=0.3, threshold=0.25), _rec(_NAN, weight=4.0),
               ("sweep", 50.0)], 8)
+    # A non-positive weight raises even when the fact exists.
+    @example([_fields(0), _fields(0, weight=0.0), _fields(0, weight=-1.0)], 8)
+    # Equal weights: displacement falls to the older fact, whose id is
+    # smaller although touches in between drew no ids.
+    @example([_fields(0), _fields(1), _fields(1), _fields(0), _fields(2)], 2)
     def test_find_and_membership_match_the_scan(self, ops, capacity):
         kb = KnowledgeBase(capacity=capacity)
         ref = ScanKnowledgeBase(capacity=capacity)
@@ -168,6 +200,23 @@ class TestFactIndexAgainstScan:
                     store.record(Fact(cls, value, created_at=now,
                                       weight=weight, threshold=threshold),
                                  now)
+            elif op[0] == "fields":
+                _, cls, value, weight, source = op
+                if weight <= 0:
+                    with pytest.raises(ValueError):
+                        kb.record_fields(cls, value, now, source=source,
+                                         weight=weight)
+                    with pytest.raises(ValueError):
+                        Fact(cls, value, created_at=now, source=source,
+                             weight=weight)
+                else:
+                    got = kb.record_fields(cls, value, now, source=source,
+                                           weight=weight)
+                    want = ref.record(Fact(cls, value, created_at=now,
+                                           source=source, weight=weight),
+                                      now)
+                    assert _fact_rows([got]) == _fact_rows([want])
+                    assert kb._facts.get(got.fact_id) is got
             else:
                 now += op[1]
                 assert _fact_rows(kb.sweep(now)) == _fact_rows(ref.sweep(now))
@@ -379,6 +428,180 @@ class TopologyCacheMachine(RuleBasedStateMachine):
 TestTopologyCache = TopologyCacheMachine.TestCase
 TestTopologyCache.settings = settings(STATE_MACHINE_SETTINGS,
                                       stateful_step_count=25)
+
+
+# ----------------------------------------------------------------------
+# Adaptive routing: the hop pass against the reference methods
+# ----------------------------------------------------------------------
+
+class OracleShip(Ship):
+    """Reference ``record_fact``: build the fact, then record it."""
+
+    def record_fact(self, fact_class, value, weight=1.0):
+        fact = Fact(fact_class, value, created_at=self.sim.now,
+                    source=self.ship_id, weight=weight)
+        return self.knowledge.record(fact, self.sim.now)
+
+
+class OracleRouter(WLIAdaptiveRouter):
+    """Reference bodies of the methods the hop pass reshaped: every
+    liveness check takes the neighbour set afresh, and ``learn_route``
+    builds the route before deciding to keep it and always flushes."""
+
+    def _alive_now(self, route):
+        return (route.expires > self.sim.now
+                and route.next_hop in self._neighbor_set())
+
+    def learn_route(self, dst, next_hop, cost):
+        if dst == self.ship.ship_id:
+            return
+        current = self.routes.get(dst)
+        fresh = Route(next_hop, cost, self.sim.now + self.route_ttl)
+        if (current is None or not self._alive_now(current)
+                or cost < current.cost
+                or (next_hop == current.next_hop)):
+            self.routes[dst] = fresh
+            self.ship.record_fact("route", (dst, next_hop))
+            self._flush_buffer(dst)
+
+    def route_table(self):
+        return {dst: (r.next_hop, r.cost)
+                for dst, r in self.routes.items() if self._alive_now(r)}
+
+    def next_hop(self, ship_id, dst):
+        neighbors = self._neighbor_set()
+        if dst in neighbors:
+            self.learn_route(dst, dst, 1.0)
+            return dst
+        route = self.routes.get(dst)
+        if route is not None and self._alive_now(route):
+            self.routes[dst] = Route(route.next_hop, route.cost,
+                                     self.sim.now + self.route_ttl)
+            return route.next_hop
+        return None
+
+    def _on_hello(self, ship, packet, from_node):
+        vector = packet.payload["vector"]
+        for dst, cost in vector.items():
+            if dst == ship.ship_id:
+                continue
+            new_cost = cost + 1.0
+            if new_cost >= self.INFINITY:
+                current = self.routes.get(dst)
+                if current is not None and current.next_hop == from_node:
+                    del self.routes[dst]
+                continue
+            self.learn_route(dst, from_node, new_cost)
+
+
+_GRID = grid_topology(2, 3)
+_GRID_NODES = st.sampled_from(_GRID.nodes)
+_GRID_LINKS = st.sampled_from([(link.a, link.b) for link in _GRID.links])
+
+
+def _adaptive_grid(ship_cls, router_cls):
+    """A 2x3 adaptive grid; a small knowledge base forces displacement
+    and a short buffer forces drops."""
+    sim = Simulator(seed=17)
+    topo = grid_topology(2, 3)
+    fabric = NetworkFabric(sim, topo)
+    ships = {node: ship_cls(sim, fabric, node, knowledge_capacity=6,
+                            router=router_cls(sim, hello_interval=2.0,
+                                              route_ttl=5.0,
+                                              discovery_timeout=1.5,
+                                              max_buffered=2))
+             for node in topo.nodes}
+    return sim, topo, ships
+
+
+def _world_state(sim, ships):
+    rows = [sim.now, sim.events_executed]
+    for node in _GRID.nodes:
+        ship, router = ships[node], ships[node].router
+        rows.append((list(router.routes.items()),
+                     {dst: len(q) for dst, q in router._buffered.items()},
+                     router.buffered_total, router.buffer_drops,
+                     router.discoveries_started,
+                     ship.packets_forwarded, ship.packets_delivered,
+                     ship.packets_dropped, ship.knowledge.evictions,
+                     [(f.fact_class, f.value, f.accesses, f._weight,
+                       f._weight_time)
+                      for f in ship.knowledge.all_facts()]))
+    return rows
+
+
+class AdaptiveRouterOracleMachine(RuleBasedStateMachine):
+    """Two identical grids in lockstep, one on the hop pass and one on
+    the reference methods; every step must leave them equal."""
+
+    def __init__(self):
+        super().__init__()
+        self.new = _adaptive_grid(Ship, WLIAdaptiveRouter)
+        self.ref = _adaptive_grid(OracleShip, OracleRouter)
+
+    def _both(self):
+        return (self.new, self.ref)
+
+    @rule(link=_GRID_LINKS, reverse=st.booleans(),
+          vector=st.dictionaries(_GRID_NODES, st.sampled_from(
+              [0.0, 1.0, 2.0, 3.0, 14.0, 15.0, 16.0]), max_size=6))
+    def hello(self, link, reverse, vector):
+        # A neighbour's advertisement; costs of 15 and up arrive
+        # poisoned (>= INFINITY after +1).
+        sender, node = reversed(link) if reverse else link
+        for sim, topo, ships in self._both():
+            ships[node].receive(
+                Datagram(sender, node, ttl=1,
+                         payload={"kind": "route-adv",
+                                  "vector": dict(vector),
+                                  "origin": sender}), sender)
+
+    @rule(node=_GRID_NODES, dst=_GRID_NODES)
+    def forwarding_lookup(self, node, dst):
+        (_, _, new), (_, _, ref) = self._both()
+        probe = new[node].router.lookup(node, dst)
+        hop = new[node].router.next_hop(node, dst)
+        assert probe == hop == ref[node].router.next_hop(node, dst)
+
+    @rule(node=_GRID_NODES, dst=_GRID_NODES)
+    def send_packet(self, node, dst):
+        # Without a route the packet is buffered and discovery starts.
+        for sim, topo, ships in self._both():
+            ships[node].send_toward(Datagram(node, dst, size_bytes=100,
+                                             created_at=sim.now))
+
+    @rule(link=_GRID_LINKS, up=st.booleans())
+    def flap_link(self, link, up):
+        for sim, topo, ships in self._both():
+            topo.set_link_state(*link, up)
+
+    @rule(node=_GRID_NODES)
+    def kill(self, node):
+        for sim, topo, ships in self._both():
+            ships[node].die()
+
+    @rule(dt=st.sampled_from([0.0, 0.3, 1.0, 2.5, 6.0]))
+    def advance(self, dt):
+        for sim, topo, ships in self._both():
+            sim.run(until=sim.now + dt)
+
+    @invariant()
+    def lookups_are_pure_and_worlds_agree(self):
+        (new_sim, _, new), (ref_sim, _, ref) = self._both()
+        # A lookup that learned or refreshed anything would show up as
+        # a difference below.
+        for node in _GRID.nodes:
+            for dst in _GRID.nodes:
+                new[node].router.lookup(node, dst)
+        assert _world_state(new_sim, new) == _world_state(ref_sim, ref)
+        for node in _GRID.nodes:
+            assert new[node].router.route_table() == \
+                ref[node].router.route_table()
+
+
+TestAdaptiveRouterOracle = AdaptiveRouterOracleMachine.TestCase
+TestAdaptiveRouterOracle.settings = settings(STATE_MACHINE_SETTINGS,
+                                             stateful_step_count=20)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,10 @@ from repro.resilience import (ARQ_META_KEY, CLOSED, HALF_OPEN,
                               CircuitBreaker, DeadLetterQueue,
                               LinkBreakerRegistry, ReliableTransport)
 from repro.resilience.chaos import Campaign, ChaosHarness, run_campaign
-from repro.routing import StaticRouter
+from repro.routing import StaticRouter, WLIAdaptiveRouter
 from repro.substrates.nodeos import CredentialAuthority
-from repro.substrates.phys import (NetworkFabric, line_topology,
-                                   ring_topology)
+from repro.substrates.phys import (NetworkFabric, grid_topology,
+                                   line_topology, ring_topology)
 from repro.substrates.phys.failures import FailureInjector
 from repro.substrates.sim import Simulator
 
@@ -162,6 +162,43 @@ class TestLinkBreakerRegistry:
         assert reroutes[0]["via"] == 3
         # Delivered the long way round: 0 -> 3 -> 2 -> 1.
         assert ships[1].packets_delivered == 1
+
+    def test_reroute_asks_each_neighbour_its_own_route(self):
+        """On a 2x3 adaptive grid with (0,1)->(0,2) open, (0,0) would
+        route (0,2) back through (0,1); (1,1) continues via (1,2).  The
+        probe asks each neighbour's own router and leaves the sender's
+        routes and facts alone."""
+        topo = grid_topology(2, 3)
+        sim = Simulator(seed=3)
+        fabric = NetworkFabric(sim, topo)
+        ships = {node: Ship(sim, fabric, node,
+                            router=WLIAdaptiveRouter(sim, proactive=False))
+                 for node in topo.nodes}
+        ships[(0, 0)].router.learn_route((0, 2), (0, 1), 2.0)
+        ships[(1, 1)].router.learn_route((0, 2), (1, 2), 2.0)
+        registry = LinkBreakerRegistry(sim, failure_threshold=1,
+                                       cooldown=50.0).install(fabric)
+        registry.breaker((0, 1), (0, 2)).record_failure()
+        sender = ships[(0, 1)]
+
+        def sender_state():
+            return (dict(sender.router.routes),
+                    [(f.fact_class, f.value, f.accesses, f._weight,
+                      f._weight_time)
+                     for f in sender.knowledge.all_facts()])
+
+        before = sender_state()
+        assert sender._reroute_around((0, 2), (0, 2), registry) == (1, 1)
+        assert sender_state() == before
+
+        reroutes = []
+        sim.trace.subscribe("ship.reroute",
+                            lambda rec: reroutes.append(rec.fields))
+        from repro.substrates.phys import Datagram
+        sender.send_toward(Datagram((0, 1), (0, 2), size_bytes=100))
+        advance(sim, 5.0)
+        assert [r["via"] for r in reroutes] == [(1, 1)]
+        assert ships[(0, 2)].packets_delivered == 1
 
 
 class TestDeadLetterQueue:

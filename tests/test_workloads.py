@@ -13,8 +13,8 @@ from repro.workloads import (ContentWorkload, MediaStreamSource,
                              MulticastSession, NomadicUser, SensorField)
 
 
-def ship_net(topo):
-    sim = Simulator(seed=11)
+def ship_net(topo, seed=11):
+    sim = Simulator(seed=seed)
     fabric = NetworkFabric(sim, topo)
     router = StaticRouter(topo)
     authority = CredentialAuthority()
@@ -117,6 +117,35 @@ class TestContentWorkload:
         workload.start()
         sim.run(until=60.0)
         assert workload.server.requests_served > 100
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_zipf_draw_equals_generator_choice(self, seed, monkeypatch):
+        """The cumulative-sum bisect picks, draw for draw, the item
+        ``Generator.choice(n_items, p=popularity)`` picks from the same
+        stream."""
+        import numpy as np
+
+        import repro.workloads.web as web
+        sent = []
+        monkeypatch.setattr(web, "inject",
+                            lambda hosts, node, packet: sent.append(packet))
+        sim, fabric, ships = ship_net(line_topology(2), seed=seed)
+        workload = ContentWorkload(sim, ships, clients=[0], origin=1,
+                                   n_items=40, zipf_s=1.2)
+        for _ in range(5000):
+            workload._request(0)
+        weights = np.arange(1, 41, dtype=float) ** -1.2
+        reference = Simulator(seed=seed).rng.np_stream("web.zipf.web")
+        expected = [f"item-{reference.choice(40, p=weights / weights.sum())}"
+                    for _ in range(5000)]
+        assert [p.payload["key"] for p in sent] == expected
+
+    def test_catalog_validated_at_construction(self):
+        sim, fabric, ships = ship_net(line_topology(2))
+        for bad in ({"n_items": 0}, {"n_items": -3},
+                    {"zipf_s": float("nan")}):
+            with pytest.raises(ValueError):
+                ContentWorkload(sim, ships, clients=[0], origin=1, **bad)
 
 
 class TestMulticastSession:
