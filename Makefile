@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-ablate \
+.PHONY: install test bench bench-smoke \
 	bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
@@ -41,14 +41,6 @@ bench-smoke:
 		--compare BENCH_baseline.json --fail-over 25
 	@echo "bench-smoke: digests match baseline, throughput in budget"
 
-# Per-switch ablation proof: each of the four optimization switches
-# (kernel_fast_loop, cow_clone, admission_memo, digest_cache) disabled
-# in turn, and all of them together, must reproduce the all-on digest.
-bench-ablate:
-	PYTHONPATH=src $(PYTHON) -m repro bench event-loop shuttle-storm \
-		--ablate --seed 42 --scale short
-	@echo "bench-ablate: per-switch digests stable"
-
 # Sharded-execution gate: run every shardable scenario partitioned
 # across 2 worker processes and require byte-identical digests against
 # the committed single-shard baseline (digests never include
@@ -63,10 +55,11 @@ bench-parallel:
 		--compare BENCH_baseline.json --fail-over 90
 	@echo "bench-parallel: 2-shard digests byte-identical to the single-shard baseline"
 
-# Regenerate the committed baseline (runs with every optimization
-# switch off — default runs then double as the optimization proof).
+# Regenerate the committed baseline.  The committed file was recorded
+# by the reference paths the optimizations replaced, which now live in
+# the tests as oracles; today's single code paths reproduce its digests.
 bench-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro bench --all --no-opt --seed 42 \
+	PYTHONPATH=src $(PYTHON) -m repro bench --all --seed 42 \
 		--scale short --repeats 3 --out /tmp/bench-baseline \
 		--combined BENCH_baseline.json
 
@@ -123,15 +116,15 @@ shardcheck:
 
 # Determinism-sanitizer gate, three legs: (1) a taped run of every
 # scenario must reproduce the committed sanitizer-off baseline digest
-# (recording never perturbs a draw); (2) an optimizations-off A/B diff
-# must find zero divergent draws; (3) a deliberately injected draw
-# perturbation MUST be caught and localized to its stream + call site
-# (the detector detects).
+# (recording never perturbs a draw); (2) a telemetry-on A/B diff must
+# find zero divergent draws (observability never draws); (3) a
+# deliberately injected draw perturbation MUST be caught and localized
+# to its stream + call site (the detector detects).
 sanitize-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all --scale short \
 		--compare BENCH_baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro sanitize event-loop \
-		--scale tiny --against no-opt
+	PYTHONPATH=src $(PYTHON) -m repro sanitize shuttle-storm \
+		--scale tiny --against obs
 	@if PYTHONPATH=src $(PYTHON) -m repro sanitize event-loop \
 		--scale tiny --inject perf.event_loop@5 \
 		> /tmp/sanitize-inject.txt; then \

@@ -134,9 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--combined", metavar="PATH", default=None,
                        help="also write all results as one JSON list "
                             "(the BENCH_baseline.json format)")
-    bench.add_argument("--no-opt", action="store_true",
-                       help="run with every perf switch disabled "
-                            "(baseline mode)")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="gate results against a committed baseline "
                             "file (digest equality is a hard failure)")
@@ -144,10 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="PCT",
                        help="max tolerated normalized throughput "
                             "regression, percent (default: 25)")
-    bench.add_argument("--ablate", action="store_true",
-                       help="per-switch ablation: rerun each scenario "
-                            "with each optimization disabled and "
-                            "report digests + speedups")
     bench.add_argument("--json", action="store_true",
                        help="emit results as JSON on stdout")
     bench.add_argument("--list", action="store_true",
@@ -193,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("tiny", "short", "medium", "full"),
                           default="short")
     sanitize.add_argument("--against",
-                          choices=("self", "no-opt", "obs"),
+                          choices=("self", "obs"),
                           default="self",
                           help="what run B varies (default: self)")
     sanitize.add_argument("--inject", default=None, metavar="STREAM@N",
@@ -399,9 +392,8 @@ def cmd_chaos(args) -> int:
 def cmd_bench(args) -> int:
     import json as _json
 
-    from .perf import (SCENARIOS, ablate, compare, load_results, run_all,
+    from .perf import (SCENARIOS, compare, load_results, run_all,
                        write_results)
-    from .perf.switches import all_disabled
 
     if args.list:
         for name, (_, description) in SCENARIOS.items():
@@ -416,20 +408,6 @@ def cmd_bench(args) -> int:
         print(f"bench: unknown scenario(s) {', '.join(unknown)} "
               f"(known: {known})", file=sys.stderr)
         return 2
-
-    if args.ablate:
-        reports = [ablate(name, seed=args.seed, scale=args.scale,
-                          repeats=args.repeats)
-                   for name in (names or list(SCENARIOS))]
-        if args.json:
-            print(_json.dumps(reports, indent=2, sort_keys=True))
-        else:
-            for report in reports:
-                mark = "ok" if report["digest_stable"] else "DRIFT"
-                print(f"{report['scenario']:16s} digest={report['digest']} "
-                      f"[{mark}] speedup-vs-all-off "
-                      f"x{report['speedup_vs_all_off']}")
-        return 0 if all(r["digest_stable"] for r in reports) else 1
 
     if args.workers < 1:
         print("bench: --workers must be >= 1", file=sys.stderr)
@@ -456,24 +434,18 @@ def cmd_bench(args) -> int:
                   f"scenario (shardable: {shardable})", file=sys.stderr)
             return 2
 
-    def _run() -> list:
-        if args.obs_out:
-            from .perf import run_scenario
-            return [run_scenario(names[0], seed=args.seed,
-                                 scale=args.scale, repeats=args.repeats,
-                                 workers=args.workers,
-                                 backend=args.backend, obs=True,
-                                 recovery=recovery)]
-        return run_all(seed=args.seed, scale=args.scale,
-                       repeats=args.repeats, names=names,
-                       workers=args.workers, backend=args.backend,
-                       recovery=recovery)
-
-    if args.no_opt:
-        with all_disabled():
-            results = _run()
+    if args.obs_out:
+        from .perf import run_scenario
+        results = [run_scenario(names[0], seed=args.seed,
+                                scale=args.scale, repeats=args.repeats,
+                                workers=args.workers,
+                                backend=args.backend, obs=True,
+                                recovery=recovery)]
     else:
-        results = _run()
+        results = run_all(seed=args.seed, scale=args.scale,
+                          repeats=args.repeats, names=names,
+                          workers=args.workers, backend=args.backend,
+                          recovery=recovery)
     written = write_results(results, args.out, combined=args.combined)
     if args.obs_out and results[0].obs is not None:
         merged = results[0].obs
@@ -625,6 +597,11 @@ def cmd_sanitize(args) -> int:
             print("sanitize: --all takes no scenario argument",
                   file=sys.stderr)
             return 2
+        if args.inject is not None or args.against != "self":
+            print("sanitize: --all runs one taped pass per scenario; "
+                  "--inject and --against need a single scenario",
+                  file=sys.stderr)
+            return 2
         ok = True
         payload = []
         for name in sorted(SCENARIOS):
@@ -668,7 +645,7 @@ def cmd_sanitize(args) -> int:
         report = run_sanitized(args.scenario, seed=args.seed,
                                scale=args.scale, against=args.against,
                                inject=inject)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"sanitize: {exc.args[0]}", file=sys.stderr)
         return 2
     ok = report.ok

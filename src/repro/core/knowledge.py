@@ -27,7 +27,6 @@ import json
 import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..perf.switches import switches as _opt
 
 # fork-inherited id sequence: every shard replays the same
 # construction order, so per-process copies advance identically
@@ -363,12 +362,11 @@ class KnowledgeBase:
         runs agree and the digest is stable between membership changes.
 
         The canonical-JSON/sha256 encoding is recomputed only when a
-        fact was inserted or removed since the last call
-        (``perf.switches.digest_cache``); weight touches preserve
+        fact was inserted or removed since the last call (``record``
+        and ``_remove`` set the dirty bit); weight touches preserve
         membership and correctly reuse the cache.
         """
-        if _opt.digest_cache and not self._digest_dirty \
-                and self._digest is not None:
+        if not self._digest_dirty and self._digest is not None:
             self.digest_hits += 1
             return self._digest
         content = sorted((fact.fact_class, repr(fact.value),

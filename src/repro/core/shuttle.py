@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from ..obs import TRACE_META_KEY
-from ..perf.switches import switches as _opt
 from ..substrates.hardware import Bitstream
 from ..substrates.nodeos import CodeModule
 from ..substrates.phys import Datagram
@@ -242,29 +241,15 @@ class Shuttle(Datagram, Ployon):
         return self
 
     def clone(self) -> "Shuttle":
-        if _opt.cow_clone:
-            return self._fast_clone()
-        twin = Shuttle(self.src, self.dst,
-                       directives=list(self.directives),
-                       credential=self.credential,
-                       interface=self.interface,
-                       target_class=self.target_class,
-                       ttl=self.ttl, data=self.data, flow_id=self.flow_id)
-        twin.created_at = self.created_at
-        twin.hops = self.hops
-        twin.meta = copy_meta(self.meta)
-        return twin
-
-    def _fast_clone(self) -> "Shuttle":
         """Slot-for-slot clone skipping the constructor.
 
-        Draws exactly one packet id and one ployon id — the same counter
-        consumption as the eager path — so downstream flow ids and run
-        digests are byte-identical whichever path produced the twin.
-        Frozen cargo is shared (CoW); unfrozen cargo is shallow-copied
-        to preserve the eager path's isolation.  Every eager-path quirk
-        is replicated: ``payload`` is dropped, ``morphs`` resets to 0,
-        size/manifest are carried over instead of recomputed.
+        Draws exactly one packet id and one ployon id, in the order the
+        constructor does, so downstream flow ids and run digests are
+        the same as for a constructor-built twin.  Frozen cargo is
+        shared (copy-on-write); unfrozen cargo is shallow-copied, so
+        the twin's list is its own.  ``payload`` is dropped, ``morphs``
+        resets to 0, and size and manifest are carried over instead of
+        recomputed.
         """
         twin = Shuttle.__new__(Shuttle)
         twin.packet_id = next(_packet_ids)
@@ -318,26 +303,13 @@ class Jet(Shuttle):
         self.size_bytes += 32  # replication header
 
     def spawn_copy(self, new_dst: Hashable, budget: int) -> "Jet":
-        if _opt.cow_clone:
-            return self._fast_spawn_copy(new_dst, budget)
-        copy = Jet(self.src, new_dst, directives=list(self.directives),
-                   replicate_budget=budget, max_fanout=self.max_fanout,
-                   credential=self.credential, interface=self.interface,
-                   target_class=self.target_class, ttl=self.ttl,
-                   flow_id=self.flow_id)
-        copy.visited = set(self.visited)
-        copy.meta = copy_meta(self.meta)
-        copy.meta["jet_copy"] = True
-        return copy
+        """Slot-for-slot replica toward ``new_dst`` skipping the
+        constructor (copy-on-write cargo, as in :meth:`Shuttle.clone`).
 
-    def _fast_spawn_copy(self, new_dst: Hashable, budget: int) -> "Jet":
-        """Slot-for-slot replica skipping the constructor (CoW cargo).
-
-        Mirrors the eager path exactly, including its quirks: the copy
-        drops ``payload``/``data``, starts at ``created_at=0.0`` and
-        ``hops=0``, resets ``morphs``, and consumes one packet id plus
-        one ployon id — so a jet flood's run digest is identical with
-        the optimization on or off.
+        The copy drops ``payload`` and ``data``, starts at
+        ``created_at=0.0`` and ``hops=0``, resets ``morphs``, is marked
+        ``meta["jet_copy"]``, and consumes one packet id plus one
+        ployon id.
         """
         if budget < 0:
             raise ValueError("negative replicate budget")

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
-from ..perf.switches import switches as _opt
 from .profiler import KernelProfiler
 from .registry import (DEFAULT_BUCKETS, PER_CONFIGURATION, PER_DATA_LINK,
                        PER_MESSAGE, PER_METHOD, PER_MULTICAST_BRANCH,
@@ -47,10 +46,6 @@ class Observability:
         self.flight_recorder = None
         #: Shard index when this facade lives inside a worker replica.
         self.shard = 0
-        # metrics_digest() cache, stamped by the kernel's progress.
-        self._metrics_digest: Optional[str] = None
-        self._metrics_digest_stamp: Optional[Tuple[int, float]] = None
-        self.metrics_digest_hits = 0
         if enabled:
             self.enable()
 
@@ -278,22 +273,7 @@ class Observability:
     def metrics_digest(self) -> str:
         """Canonical-JSON/sha256 fingerprint of the collected samples
         (minus :data:`~repro.obs.snapshot.DIGEST_EXCLUDED_PREFIXES`,
-        matching :meth:`MergedObs.metrics_digest` semantics).
-
-        Instruments only move inside executed events, so the cached
-        digest is stamped with ``(events_executed, now)`` and reused
-        until the kernel makes progress (``perf.switches.
-        digest_cache``).  Mutating instruments *outside* any event and
-        re-reading within the same stamp would return the stale digest
-        — simulation code never does that; tests that do must toggle
-        the switch off.
-        """
-        sim = self.sim
-        stamp = (getattr(sim, "events_executed", 0), sim.now)
-        if _opt.digest_cache and self._metrics_digest is not None \
-                and self._metrics_digest_stamp == stamp:
-            self.metrics_digest_hits += 1
-            return self._metrics_digest
+        matching :meth:`MergedObs.metrics_digest` semantics)."""
         if self.registry is not None:
             from .snapshot import DIGEST_EXCLUDED_PREFIXES
             samples = [rec for rec in self.registry.collect()
@@ -302,10 +282,7 @@ class Observability:
         else:
             samples = []
         payload = json.dumps(samples, sort_keys=True, default=repr)
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        self._metrics_digest = digest
-        self._metrics_digest_stamp = stamp
-        return digest
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     # -- export -------------------------------------------------------------
     def records(self) -> Iterator[Dict[str, Any]]:

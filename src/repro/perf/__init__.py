@@ -1,50 +1,22 @@
-"""repro.perf: the deterministic throughput harness and optimization
-switches.
+"""repro.perf: the deterministic throughput harness (``repro bench``).
 
-Two halves:
-
-* :mod:`repro.perf.switches` — process-global toggles for every
-  measured hot-path optimization (kernel fast loop, copy-on-write
-  clones, memoized admission verdicts, cached digests).  The optimized
-  call sites in the kernel/core/staticcheck planes import *only* this
-  module, so this package ``__init__`` must stay import-light: pulling
-  the harness in here would create a cycle
-  (kernel -> perf -> harness -> core -> kernel).
-* :mod:`repro.perf.harness` / :mod:`repro.perf.scenarios` — the
-  ``repro bench`` macro-benchmark suite: seeded scenarios whose
-  *digests* are pure functions of (seed, scale) and whose throughput
-  numbers anchor the ``BENCH_*.json`` trajectory.  Loaded lazily via
-  ``__getattr__``.
+:mod:`repro.perf.harness` and :mod:`repro.perf.scenarios` hold the
+macro-benchmark suite: seeded scenarios whose *digests* are pure
+functions of (seed, scale) and whose throughput numbers anchor the
+``BENCH_*.json`` trajectory.  Every hot-path optimization has one code
+path; its reference lives in the tests as an oracle (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from .switches import DEFAULTS, Switches, all_disabled, configured, switches
+from .digest import canonical_digest, run_digest
+from .harness import (BenchResult, compare, load_results, run_all,
+                      run_scenario, write_results)
+from .scenarios import SCENARIOS, SHARD_WORKLOADS
 
 __all__ = [
-    "DEFAULTS", "Switches", "all_disabled", "configured", "switches",
-    # lazily loaded:
     "BenchResult", "SCENARIOS", "SHARD_WORKLOADS", "run_scenario",
-    "run_all", "ablate", "compare", "write_results", "load_results",
+    "run_all", "compare", "write_results", "load_results",
     "run_digest", "canonical_digest",
 ]
-
-_LAZY = {
-    "BenchResult": "harness", "run_scenario": "harness",
-    "run_all": "harness", "ablate": "harness", "compare": "harness",
-    "write_results": "harness", "load_results": "harness",
-    "SCENARIOS": "scenarios", "SHARD_WORKLOADS": "scenarios",
-    "run_digest": "digest", "canonical_digest": "digest",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

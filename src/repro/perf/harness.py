@@ -10,10 +10,10 @@ threshold), while throughput is compared through a median-normalized
 ratio that cancels machine-speed differences between the baseline host
 and the current one.
 
-The committed anchor ``BENCH_baseline.json`` is produced with every
-optimization switch *off* (``repro bench --all --no-opt``), so default
-runs double as the optimization's regression proof: same digests,
-higher throughput.
+The committed anchor ``BENCH_baseline.json`` was recorded by the
+reference paths that every optimization replaced (they survive as test
+oracles), so each gate run doubles as the optimizations' regression
+proof: same digests, higher throughput.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..shard.executor import run_sharded
 from .digest import run_digest
 from .scenarios import SCENARIOS, SHARD_WORKLOADS
-from .switches import DEFAULTS, all_disabled, configured, switches
 
 #: Schema version of the BENCH_*.json files.  Version 2 added
 #: ``wall_times_s`` (per-repeat wall clocks), ``workers``/``backend``
@@ -34,22 +33,23 @@ from .switches import DEFAULTS, all_disabled, configured, switches
 #: block, since dropped: its process-wide tally saw only the
 #: coordinator process, so it read zero for every mp-sharded run
 #: (``Simulator.agenda_stats()`` and the ``repro_kernel_agenda_*``
-#: gauges remain).  :func:`compare` reads only the fields shared by
-#: every version, so older files still gate fine.
+#: gauges remain).  The ``switches`` key (the optimization switch
+#: state) was dropped with the switches themselves.  :func:`compare`
+#: reads only the fields shared by every version, so older files still
+#: gate fine.
 BENCH_VERSION = 3
 
 
 class BenchResult:
     """One scenario execution: deterministic counters + wall measurements."""
 
-    __slots__ = ("scenario", "seed", "scale", "switches", "repeats",
+    __slots__ = ("scenario", "seed", "scale", "repeats",
                  "wall_time_s", "wall_times_s", "events_per_sec",
                  "shuttles_per_sec", "events_executed",
                  "shuttles_processed", "peak_agenda_depth", "digest",
                  "counters", "workers", "backend", "shard_stats", "obs")
 
-    def __init__(self, scenario: str, seed: int, scale: str,
-                 switch_state: Dict[str, bool], repeats: int,
+    def __init__(self, scenario: str, seed: int, scale: str, repeats: int,
                  wall_time_s: float, counters: Dict[str, Any],
                  work: Dict[str, int],
                  wall_times_s: Optional[Sequence[float]] = None,
@@ -58,7 +58,6 @@ class BenchResult:
         self.scenario = scenario
         self.seed = int(seed)
         self.scale = scale
-        self.switches = dict(switch_state)
         self.repeats = int(repeats)
         self.wall_time_s = wall_time_s
         self.wall_times_s = (list(wall_times_s) if wall_times_s is not None
@@ -88,7 +87,6 @@ class BenchResult:
             "scenario": self.scenario,
             "seed": self.seed,
             "scale": self.scale,
-            "switches": self.switches,
             "repeats": self.repeats,
             "wall_time_s": round(self.wall_time_s, 6),
             "wall_times_s": [round(t, 6) for t in self.wall_times_s],
@@ -115,6 +113,14 @@ class BenchResult:
 # ----------------------------------------------------------------------
 # running
 # ----------------------------------------------------------------------
+
+def _require_shardable(name: str) -> None:
+    if name not in SHARD_WORKLOADS:
+        shardable = ", ".join(sorted(SHARD_WORKLOADS))
+        raise ValueError(
+            f"obs collection requires a shardable scenario "
+            f"(known: {shardable}); {name!r} is not one")
+
 
 def run_scenario(name: str, seed: int = 42, scale: str = "short",
                  repeats: int = 1, workers: int = 1,
@@ -155,11 +161,8 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
         raise ValueError("repeats must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if obs and name not in SHARD_WORKLOADS:
-        shardable = ", ".join(sorted(SHARD_WORKLOADS))
-        raise ValueError(
-            f"obs collection requires a shardable scenario "
-            f"(known: {shardable}); {name!r} is not one")
+    if obs:
+        _require_shardable(name)
     sharded = (workers > 1 or obs) and name in SHARD_WORKLOADS
     wall_times: List[float] = []
     counters = work = None
@@ -184,7 +187,7 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
                 f"scale={scale!r}: counters drifted between passes")
         counters, work = pass_counters, pass_work
         wall_times.append(elapsed)
-    result = BenchResult(name, seed, scale, switches.as_dict(), repeats,
+    result = BenchResult(name, seed, scale, repeats,
                          min(wall_times), counters, work,
                          wall_times_s=wall_times,
                          workers=workers if sharded else 1,
@@ -201,32 +204,28 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
     Run A is the plain single-shard scenario.  Run B depends on
     ``against``:
 
-    * ``"self"``   — the identical run again (a clean environment must
+    * ``"self"`` — the identical run again (a clean environment must
       produce byte-identical tapes);
-    * ``"no-opt"`` — every optimization switch off (optimizations may
-      change *when* work happens, never *what* is drawn);
-    * ``"obs"``    — telemetry collection on (observability must never
-      draw).
+    * ``"obs"``  — telemetry collection on (observability must never
+      draw); needs a shardable scenario.
 
     ``inject`` (an :class:`repro.sanitize.Injection`) perturbs one draw
     of run B, planting a divergence the diff must localize.  Returns a
-    :class:`repro.sanitize.SanitizeReport`.
+    :class:`repro.sanitize.SanitizeReport`.  Bad arguments raise
+    ``KeyError`` (an unknown scenario) or ``ValueError`` before run A
+    starts.
     """
     from ..sanitize import SanitizeReport, diff_tapes, taped
-    if against not in ("self", "no-opt", "obs"):
+    if against not in ("self", "obs"):
         raise ValueError(f"unknown sanitize comparison {against!r} "
-                         f"(known: self, no-opt, obs)")
+                         f"(known: self, obs)")
+    if against == "obs":
+        _require_shardable(name)
     with taped() as tape_a:
         result_a = run_scenario(name, seed=seed, scale=scale)
     with taped(inject=inject) as tape_b:
-        if against == "no-opt":
-            with all_disabled():
-                result_b = run_scenario(name, seed=seed, scale=scale)
-        elif against == "obs":
-            result_b = run_scenario(name, seed=seed, scale=scale,
-                                    obs=True)
-        else:
-            result_b = run_scenario(name, seed=seed, scale=scale)
+        result_b = run_scenario(name, seed=seed, scale=scale,
+                                obs=against == "obs")
     return SanitizeReport(name, seed, scale, against,
                           result_a.digest, result_b.digest,
                           tape_a, tape_b, diff_tapes(tape_a, tape_b))
@@ -242,39 +241,6 @@ def run_all(seed: int = 42, scale: str = "short", repeats: int = 1,
                          workers=workers, backend=backend,
                          recovery=recovery)
             for name in selected]
-
-
-def ablate(name: str, seed: int = 42, scale: str = "short",
-           repeats: int = 1) -> Dict[str, Any]:
-    """Per-switch ablation of one scenario.
-
-    Runs the scenario with all switches on, all off, and each switch
-    individually disabled; checks every variant reproduces the all-on
-    digest.  This is the machine-readable form of the optimization
-    ledger's "digests byte-identical on vs. off" proof.
-    """
-    with configured(**{k: True for k in DEFAULTS}):
-        on = run_scenario(name, seed=seed, scale=scale, repeats=repeats)
-    variants: Dict[str, BenchResult] = {}
-    with all_disabled():
-        variants["all-off"] = run_scenario(name, seed=seed, scale=scale,
-                                           repeats=repeats)
-    for switch in DEFAULTS:
-        with configured(**{switch: False}):
-            variants[f"no-{switch}"] = run_scenario(
-                name, seed=seed, scale=scale, repeats=repeats)
-    return {
-        "scenario": name, "seed": seed, "scale": scale,
-        "digest": on.digest,
-        "digest_stable": all(v.digest == on.digest
-                             for v in variants.values()),
-        "all_on": on.to_dict(),
-        "variants": {k: v.to_dict() for k, v in variants.items()},
-        "speedup_vs_all_off": (
-            round(on.events_per_sec
-                  / variants["all-off"].events_per_sec, 3)
-            if variants["all-off"].events_per_sec else None),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -671,8 +671,8 @@ def scenario_audit_sweep(seed: int, scale: str) -> Tuple[Dict[str, Any],
     (:meth:`~repro.core.knowledge.KnowledgeBase.content_digest`) and
     the metrics registry (:meth:`~repro.obs.facade.Observability.
     metrics_digest`); mutations arrive an order of magnitude less often
-    than sweeps, so most audits re-read unchanged state — the dirty-bit
-    / stamp caches' designed case.  The digests themselves are chained
+    than sweeps, so most audits re-read unchanged knowledge bases — the
+    dirty-bit cache's designed case.  The digests themselves are chained
     into the run digest, so a cache returning a stale fingerprint is a
     hard benchmark failure, not just a slow run.
     """
@@ -720,7 +720,7 @@ def scenario_audit_sweep(seed: int, scale: str) -> Tuple[Dict[str, Any],
 
     def churn() -> None:
         # One new fact on one ship + one shuttle in flight: exactly one
-        # KB goes dirty, and the metrics stamp advances.
+        # KB goes dirty, and the metrics move.
         nonlocal mutations
         ship = wn.ships[nodes[mutations % len(nodes)]]
         ship.record_fact("bench-churn", f"churn-{mutations}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Hashable
 
-from ..perf.switches import switches as _opt
 from .dlq import (DeadLetterQueue, REASON_MAX_ATTEMPTS, REASON_SHUTDOWN,
                   REASON_SOURCE_DEAD)
 from .wire import ACK_KIND, ARQ_META_KEY
@@ -118,7 +117,7 @@ class ReliableTransport:
             raise ValueError("reliable transport is unicast-only")
         msg_id = f"m{next(self._msg_ids)}"
         shuttle.meta[ARQ_META_KEY] = {"msg": msg_id, "src": src}
-        if _opt.cow_clone and hasattr(shuttle, "freeze_cargo"):
+        if hasattr(shuttle, "freeze_cargo"):
             # CoW: every retransmission clone shares the template's
             # frozen cargo tuple instead of rebuilding a directive list.
             shuttle.freeze_cargo()

@@ -39,7 +39,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.genetics import Genome
 from ..core.knowledge import KnowledgeQuantum
-from ..perf.switches import switches as _opt
 from ..core.shuttle import (ALL_OPS, OP_ACQUIRE_ROLE, OP_ACTIVATE_ROLE,
                             OP_DEPLOY_QUANTUM, OP_INSTALL_CODE,
                             OP_INSTALL_DRIVER, OP_LOAD_BITSTREAM,
@@ -157,16 +156,17 @@ class AdmissionVerifier:
         SecurityManager holds the policy to prove against).
 
         Structural-mode verdicts are memoized by a content fingerprint
-        of the payload (``perf.switches.admission_memo``): an ARQ
-        retransmission storm or a fleet of identical role shuttles vets
-        once, not once per dock.  The fingerprint is recomputed from the
-        live payload on every call, so in-place tampering (a rewritten
-        op, a spliced directive) changes the key and misses the cache —
-        tamper detection is never weakened, only duplicated work is.
+        of the payload: an ARQ retransmission storm or a fleet of
+        identical role shuttles vets once, not once per dock.  The
+        fingerprint is recomputed from the live payload on every call,
+        so in-place tampering (a rewritten op, a spliced directive)
+        changes the key and misses the cache — tamper detection is
+        never weakened, only duplicated work is.  A miss runs
+        :meth:`_vet_uncached`.
         """
         self.vets += 1
         key = None
-        if _opt.admission_memo and not check_authorization:
+        if not check_authorization:
             key = self._payload_key(shuttle)
             if key is not None:
                 cached = self._verdicts.get(key)

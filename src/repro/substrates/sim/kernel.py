@@ -14,15 +14,14 @@ Design notes
 * The kernel is single-threaded by construction — the concurrency of the
   Wandering Network is *simulated* concurrency, which keeps every
   experiment reproducible.
-* Two run loops.  With ``perf.switches.kernel_fast_loop`` (the
-  default) :meth:`Simulator.run` uses the batched loop, which drains
-  every event sharing the head timestamp into one batch; with it off,
-  the one-event-at-a-time ``peek()``/``step()`` loop runs instead and
-  serves as the oracle.  Depth parity between the two is kept by
-  combined accounting: a push during a batch reports ``len(agenda) +
-  remaining batch entries``, and dead batch entries stay counted until
-  the batch cursor passes them (exactly when the reference heap would
-  have purged them).
+* One run loop.  :meth:`Simulator.run` drains every event sharing the
+  head timestamp into one batch.  Its oracle is the one-event-at-a-time
+  ``peek()``/``step()`` loop, which lives in the tests
+  (``tests/kernel_oracle.py``).  Depth parity between the two is kept
+  by combined accounting: a push during a batch reports ``len(agenda)
+  + remaining batch entries``, and dead batch entries stay counted
+  until the batch cursor passes them (exactly when the reference heap
+  would have purged them).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from bisect import insort
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ...obs import Observability
-from ...perf.switches import switches as _opt
 from .agenda import Entry, HeapAgenda
 from .errors import SchedulingError
 from .events import Event, NORMAL
@@ -233,50 +231,21 @@ class Simulator:
             raise SchedulingError(
                 f"run(until={until}) is in the past (now={self._now})")
         try:
-            if _opt.kernel_fast_loop:
-                self._run_batched(until, max_events)
-            else:
-                self._run_reference(until, max_events)
+            self._run_batched(until, max_events)
         finally:
             self._running = False
             if self.obs.on:
                 self.obs.sync_kernel_stats()
         return self._now
 
-    def _run_reference(self, until: Optional[float],
-                       max_events: Optional[int]) -> None:
-        """The original peek()/step() loop, kept as the semantic oracle
-        for the batched loop (``perf.switches.kernel_fast_loop = False``)."""
-        executed = 0
-        budget_hit = False
-        while not self._stopped:
-            nxt = self.peek()
-            if nxt == _INF:
-                break
-            if until is not None and nxt > until:
-                self._now = until
-                break
-            if max_events is not None and executed >= max_events:
-                # Clock stays at the last executed event: pending events
-                # at times <= until remain, so advancing to ``until``
-                # here would let time run backwards on resume.
-                budget_hit = True
-                break
-            self.step()
-            executed += 1
-        else:
-            # stop() was called; clock stays at the stopping event.
-            pass
-        if (until is not None and self._now < until
-                and not self._stopped and not budget_hit):
-            self._now = until
-
     def _run_batched(self, until: Optional[float],
                      max_events: Optional[int]) -> None:
-        """Batched fast loop: drain all events at the head timestamp.
+        """Batched loop: drain all events at the head timestamp.
 
         Event order, purge boundaries, and depth accounting are
-        byte-identical to the reference loop:
+        byte-identical to the reference loop, which runs ``peek()``
+        and ``step()`` until the agenda empties, the horizon passes,
+        ``max_events`` have fired or ``stop()`` was called:
 
         * The drained batch preserves ``(priority, seq)`` order; events
           scheduled *at the batch instant* by a firing callback are

@@ -2,14 +2,15 @@
 
 Four layers of proof:
 
-* **lockstep state machine** (hypothesis) — a batched-loop simulator
-  and a reference-loop simulator receive the same random schedule /
-  cancel / same-instant injection / ``stop()`` / raising-callback /
-  ``run(until=…)`` / ``run(max_events=…)`` steps, with deliberately
-  colliding timestamps, and must agree on the fire log, the clock, the
-  counters, the peak depth and the pending agenda after every step;
-* **digest matrix** — every scenario reproduces its all-on digest with
-  ``kernel_fast_loop`` disabled, at K ∈ {1, 2, 4} shards;
+* **lockstep state machine** (hypothesis) — a :class:`Simulator` and a
+  :class:`~tests.kernel_oracle.ReferenceSimulator` receive the same
+  random schedule / cancel / same-instant injection / ``stop()`` /
+  raising-callback / ``run(until=…)`` / ``run(max_events=…)`` steps,
+  with deliberately colliding timestamps, and must agree on the fire
+  log, the clock, the counters, the peak depth and the pending agenda
+  after every step;
+* **digest matrix** — every scenario reproduces its single-shard
+  digest at K ∈ {1, 2, 4} shards;
 * **batched-loop semantics** — same-instant insertion (including
   URGENT), ``stop()``, ``max_events`` and a raising callback mid-batch
   leave the agenda exactly as the reference loop would;
@@ -24,12 +25,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.perf.harness import run_scenario
 from repro.perf.scenarios import SCENARIOS, SHARD_WORKLOADS
-from repro.perf.switches import configured
 from repro.substrates.sim.agenda import HeapAgenda
 from repro.substrates.sim.events import LAZY, NORMAL, URGENT, Event
 from repro.substrates.sim.kernel import Simulator
 
 from .hypothesis_tiers import STATE_MACHINE_SETTINGS
+from .kernel_oracle import simulator
 
 _PRIORITIES = st.sampled_from([URGENT, NORMAL, LAZY])
 
@@ -57,7 +58,8 @@ class TestHeapAgenda:
 # ----------------------------------------------------------------------
 
 class KernelLockstep(RuleBasedStateMachine):
-    """Two simulators, one per run loop, driven by identical steps.
+    """Two simulators, one per run loop, driven by identical steps:
+    ``sims[True]`` batches, ``sims[False]`` is the reference oracle.
 
     Times are quarter-second multiples of ``now``, so they are exact
     floats and collide often; mixed priorities make the ``(priority,
@@ -68,7 +70,8 @@ class KernelLockstep(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.sims = {True: Simulator(seed=5), False: Simulator(seed=5)}
+        self.sims = {fast: simulator(fast, seed=5)
+                     for fast in (True, False)}
         self.logs = {True: [], False: []}
         self.handles = []      # (batched event, reference event) pairs
         self.count = 0
@@ -100,14 +103,13 @@ class KernelLockstep(RuleBasedStateMachine):
 
     def _run(self, **kwargs):
         outcomes = []
-        for fast, sim in self.sims.items():
-            with configured(kernel_fast_loop=fast):
-                try:
-                    sim.run(**kwargs)
-                except _Boom as exc:
-                    outcomes.append(str(exc))
-                else:
-                    outcomes.append(None)
+        for sim in self.sims.values():
+            try:
+                sim.run(**kwargs)
+            except _Boom as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
         assert outcomes[0] == outcomes[1]
 
     @rule(offset=st.integers(0, 6), priority=_PRIORITIES)
@@ -161,7 +163,7 @@ TestKernelLockstep.settings = settings(STATE_MACHINE_SETTINGS,
 
 
 # ----------------------------------------------------------------------
-# digest matrix: the run-loop switch × every scenario × K shards
+# digest matrix: every scenario × K shards
 # ----------------------------------------------------------------------
 
 class TestDigestMatrix:
@@ -170,12 +172,10 @@ class TestDigestMatrix:
         reference = run_scenario(scenario, seed=7, scale="tiny")
         ks = (1, 2, 4) if scenario in SHARD_WORKLOADS else (1,)
         for k in ks:
-            for overrides in ({}, {"kernel_fast_loop": False}):
-                with configured(**overrides):
-                    got = run_scenario(scenario, seed=7, scale="tiny",
-                                       workers=k, backend="inline")
-                assert got.digest == reference.digest, (
-                    f"{scenario} K={k} drifts with {overrides or 'defaults'}")
+            got = run_scenario(scenario, seed=7, scale="tiny",
+                               workers=k, backend="inline")
+            assert got.digest == reference.digest, (
+                f"{scenario} drifts at K={k}")
 
 
 # ----------------------------------------------------------------------
@@ -242,15 +242,14 @@ class TestBatchedDelivery:
         cancelled entry behind the stopping event, which the reference
         loop keeps until its next peek, so later pushes saw a depth one
         lower and ``peak_agenda_depth`` diverged."""
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=3)
-            sim.call_at(1.0, lambda: None)
-            sim.call_at(1.0, sim.stop)
-            sim.call_at(1.0, lambda: None).cancel()
-            sim.call_at(1.0, lambda: None)
-            sim.run()
-            for t in range(5):
-                sim.call_at(3.0 + t, lambda: None)
+        sim = simulator(fast, seed=3)
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(1.0, sim.stop)
+        sim.call_at(1.0, lambda: None).cancel()
+        sim.call_at(1.0, lambda: None)
+        sim.run()
+        for t in range(5):
+            sim.call_at(3.0 + t, lambda: None)
         assert sim.pending_events == 6
         assert sim.peak_agenda_depth == 7   # 5 new + live + dead entry
 
@@ -265,19 +264,18 @@ class TestBatchedDelivery:
             fired.append("b")
             raise _Boom("b")
 
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=3)
-            sim.call_at(1.0, fired.append, "a")
-            sim.call_at(1.0, boom)
-            sim.call_at(1.0, fired.append, "c")
-            sim.call_at(2.0, fired.append, "d")
-            with pytest.raises(_Boom):
-                sim.run()
-            assert fired == ["a", "b"]
-            assert sim.now == 1.0
-            assert sim.pending_events == 2
-            assert [e.time for e in sim.agenda()] == [1.0, 2.0]
+        sim = simulator(fast, seed=3)
+        sim.call_at(1.0, fired.append, "a")
+        sim.call_at(1.0, boom)
+        sim.call_at(1.0, fired.append, "c")
+        sim.call_at(2.0, fired.append, "d")
+        with pytest.raises(_Boom):
             sim.run()
+        assert fired == ["a", "b"]
+        assert sim.now == 1.0
+        assert sim.pending_events == 2
+        assert [e.time for e in sim.agenda()] == [1.0, 2.0]
+        sim.run()
         assert fired == ["a", "b", "c", "d"]
         assert sim.events_executed == 3    # the raising call not counted
 
@@ -298,10 +296,9 @@ class TestAgendaStatsExport:
         # Digest exclusion: mutating the kernel gauges must not move
         # the metrics digest (they vary between the digest-equivalent
         # run loops).
-        with configured(digest_cache=False):
-            before = sim.obs.metrics_digest()
-            sim.obs.kernel_agenda_ops.set(10**9, op="insert")
-            assert sim.obs.metrics_digest() == before
+        before = sim.obs.metrics_digest()
+        sim.obs.kernel_agenda_ops.set(10**9, op="insert")
+        assert sim.obs.metrics_digest() == before
 
     def test_simulator_agenda_stats_shape(self):
         sim = Simulator(seed=2)

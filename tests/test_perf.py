@@ -1,13 +1,16 @@
-"""The repro.perf plane: switches, harness, and every optimized path.
+"""The repro.perf plane: the harness and every optimized path.
 
 Three layers of protection:
 
-* **digest equality** — every benchmark scenario produces byte-identical
-  run digests with each optimization switch on vs. off (the central
-  contract: optimizations change *when*, never *what*);
-* **unit semantics** — CoW clones equal eager clones, the memoized
-  admission gate still catches tampering, the digest caches invalidate
-  on mutation, the fast kernel loop matches the reference loop;
+* **digest stability** — every benchmark scenario is repeatable and
+  seed-sensitive, and reproduces the committed baseline that the
+  reference paths recorded (the central contract: optimizations change
+  *when*, never *what*);
+* **unit semantics against in-test oracles** — CoW clones equal the
+  eager constructor-built clones defined here, the memoized admission
+  gate agrees with ``_vet_uncached`` and still catches tampering, the
+  knowledge digest cache invalidates on mutation, the batched kernel
+  loop matches :class:`~tests.kernel_oracle.ReferenceSimulator`;
 * **harness plumbing** — BENCH files round-trip, the compare gate
   hard-fails on digest drift and thresholds throughput, the CLI wires
   it all up.
@@ -24,71 +27,27 @@ from repro.core import (Directive, Jet, OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP,
                         Shuttle)
 from repro.core.knowledge import Fact, KnowledgeBase
 from repro.core.ployon import Ployon
-from repro.perf import (SCENARIOS, ablate, compare, load_results,
-                        run_scenario, write_results)
+from repro.perf import (SCENARIOS, compare, load_results, run_scenario,
+                        write_results)
 from repro.perf.digest import canonical_digest, round_floats, run_digest
-from repro.perf.switches import (DEFAULTS, all_disabled, configured,
-                                 switches)
 from repro.resilience import ReliableTransport
 from repro.staticcheck import AdmissionVerifier
 from repro.substrates.phys import Datagram, line_topology, NetworkFabric
+from repro.substrates.phys.packet import copy_meta
 from repro.substrates.sim import Event, Simulator
+
+from .hypothesis_tiers import STANDARD_SETTINGS
+from .kernel_oracle import simulator
 
 SEED = 42
 SCALE = "tiny"
 
 
 # ----------------------------------------------------------------------
-# switches
-# ----------------------------------------------------------------------
-
-class TestSwitches:
-    def test_defaults_all_on(self):
-        assert all(DEFAULTS.values())
-        for name in DEFAULTS:
-            assert getattr(switches, name) is True
-
-    def test_configured_restores_on_exit(self):
-        with configured(cow_clone=False):
-            assert switches.cow_clone is False
-            assert switches.kernel_fast_loop is True
-        assert switches.cow_clone is True
-
-    def test_configured_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with configured(admission_memo=False):
-                raise RuntimeError("boom")
-        assert switches.admission_memo is True
-
-    def test_all_disabled(self):
-        with all_disabled():
-            assert not any(switches.as_dict().values())
-        assert all(switches.as_dict().values())
-
-    def test_unknown_switch_rejected(self):
-        with pytest.raises(ValueError):
-            with configured(warp_drive=True):
-                pass
-
-
-# ----------------------------------------------------------------------
-# the central contract: per-switch digest equality, per scenario
+# the central contract: digests are pure functions of (seed, scale)
 # ----------------------------------------------------------------------
 
 class TestScenarioDigests:
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_digest_invariant_under_every_switch(self, scenario):
-        reference = run_scenario(scenario, seed=SEED, scale=SCALE)
-        with all_disabled():
-            off = run_scenario(scenario, seed=SEED, scale=SCALE)
-        assert off.digest == reference.digest
-        assert off.counters == reference.counters
-        for switch in DEFAULTS:
-            with configured(**{switch: False}):
-                got = run_scenario(scenario, seed=SEED, scale=SCALE)
-            assert got.digest == reference.digest, (
-                f"{scenario} drifts with {switch} off")
-
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_repeatable_and_seed_sensitive(self, scenario):
         one = run_scenario(scenario, seed=SEED, scale=SCALE)
@@ -110,7 +69,7 @@ class TestScenarioDigests:
 
 
 # ----------------------------------------------------------------------
-# kernel fast loop
+# kernel fast loop (against the in-test reference loop)
 # ----------------------------------------------------------------------
 
 def _churny_run(sim):
@@ -131,14 +90,12 @@ def _churny_run(sim):
 
 class TestKernelFastLoop:
     def test_fast_matches_reference(self):
-        with configured(kernel_fast_loop=True):
-            fast_sim = Simulator(seed=9)
-            fast_log = _churny_run(fast_sim)
-            fast_sim.run()
-        with configured(kernel_fast_loop=False):
-            ref_sim = Simulator(seed=9)
-            ref_log = _churny_run(ref_sim)
-            ref_sim.run()
+        fast_sim = simulator(True, seed=9)
+        fast_log = _churny_run(fast_sim)
+        fast_sim.run()
+        ref_sim = simulator(False, seed=9)
+        ref_log = _churny_run(ref_sim)
+        ref_sim.run()
         assert fast_log == ref_log
         assert fast_sim.now == ref_sim.now
         assert fast_sim.events_executed == ref_sim.events_executed
@@ -146,25 +103,23 @@ class TestKernelFastLoop:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_until_clamp_and_max_events(self, fast):
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=3)
-            fired = []
-            for i in range(10):
-                sim.call_in(float(i + 1), fired.append, i)
-            sim.run(max_events=4)
-            assert fired == [0, 1, 2, 3]
-            sim.run(until=100.0)
-            assert fired == list(range(10))
-            assert sim.now == 100.0  # clamps to until past the last event
+        sim = simulator(fast, seed=3)
+        fired = []
+        for i in range(10):
+            sim.call_in(float(i + 1), fired.append, i)
+        sim.run(max_events=4)
+        assert fired == [0, 1, 2, 3]
+        sim.run(until=100.0)
+        assert fired == list(range(10))
+        assert sim.now == 100.0  # clamps to until past the last event
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_stop_inside_event(self, fast):
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=3)
-            sim.call_in(1.0, sim.stop)
-            sim.call_in(2.0, lambda: pytest.fail("ran past stop"))
-            sim.run(until=10.0)
-            assert sim.now == 1.0
+        sim = simulator(fast, seed=3)
+        sim.call_in(1.0, sim.stop)
+        sim.call_in(2.0, lambda: pytest.fail("ran past stop"))
+        sim.run(until=10.0)
+        assert sim.now == 1.0
 
     def test_peak_agenda_depth_tracks_heap(self):
         sim = Simulator(seed=3)
@@ -200,14 +155,60 @@ class TestSlots:
         assert Ployon.__slots__ == ()
 
     def test_fast_clone_has_no_dict(self):
-        with configured(cow_clone=True):
-            twin = Shuttle(0, 1).clone()
+        twin = Shuttle(0, 1).clone()
         assert not hasattr(twin, "__dict__")
 
 
 # ----------------------------------------------------------------------
-# clone semantics (satellite: nested-meta aliasing + CoW property)
+# clone semantics (nested-meta aliasing + CoW against the eager oracle)
 # ----------------------------------------------------------------------
+
+def _eager_clone(shuttle):
+    """The reference ``Shuttle.clone``: rebuild the twin through the
+    constructor."""
+    twin = Shuttle(shuttle.src, shuttle.dst,
+                   directives=list(shuttle.directives),
+                   credential=shuttle.credential,
+                   interface=shuttle.interface,
+                   target_class=shuttle.target_class,
+                   ttl=shuttle.ttl, data=shuttle.data,
+                   flow_id=shuttle.flow_id)
+    twin.created_at = shuttle.created_at
+    twin.hops = shuttle.hops
+    twin.meta = copy_meta(shuttle.meta)
+    return twin
+
+
+def _eager_spawn_copy(jet, new_dst, budget):
+    """The reference ``Jet.spawn_copy``: rebuild the copy through the
+    constructor."""
+    copy = Jet(jet.src, new_dst, directives=list(jet.directives),
+               replicate_budget=budget, max_fanout=jet.max_fanout,
+               credential=jet.credential, interface=jet.interface,
+               target_class=jet.target_class, ttl=jet.ttl,
+               flow_id=jet.flow_id)
+    copy.visited = set(jet.visited)
+    copy.meta = copy_meta(jet.meta)
+    copy.meta["jet_copy"] = True
+    return copy
+
+
+def _eager_jet_clone(jet):
+    """The reference ``Jet.clone``: ``Jet.clone`` over the eager
+    ``spawn_copy``."""
+    twin = _eager_spawn_copy(jet, jet.dst, jet.replicate_budget)
+    twin.created_at = jet.created_at
+    twin.hops = jet.hops
+    return twin
+
+
+def _assert_one_id_each(fast, eager):
+    """``fast`` then ``eager`` were built back to back: each drew
+    exactly one packet id and one ployon id."""
+    probe = Shuttle(0, 1)
+    assert fast.packet_id + 1 == eager.packet_id == probe.packet_id - 1
+    assert fast.ployon_id + 1 == eager.ployon_id == probe.ployon_id - 1
+
 
 def _assert_clone_semantics(original, twin):
     assert twin.packet_id != original.packet_id
@@ -221,6 +222,10 @@ def _assert_clone_semantics(original, twin):
     assert twin.morphs == 0
 
 
+#: Every slot of a jet, so the copy properties compare them all.
+_JET_SLOTS = Datagram.__slots__ + Shuttle.__slots__ + Jet.__slots__
+
+
 class TestCloneAliasing:
     @pytest.mark.parametrize("cow", [True, False])
     def test_nested_meta_not_shared(self, cow):
@@ -228,8 +233,7 @@ class TestCloneAliasing:
             Directive(OP_SET_NEXT_STEP, role_id="fn.caching")])
         shuttle.meta["arq"] = {"msg": "m1", "src": 0}
         shuttle.meta["tags"] = ["a"]
-        with configured(cow_clone=cow):
-            twin = shuttle.clone()
+        twin = shuttle.clone() if cow else _eager_clone(shuttle)
         twin.meta["arq"]["msg"] = "m2"
         twin.meta["tags"].append("b")
         assert shuttle.meta["arq"]["msg"] == "m1"
@@ -239,8 +243,8 @@ class TestCloneAliasing:
     def test_jet_spawn_copy_meta_not_shared(self, cow):
         jet = Jet(0, 1, replicate_budget=4)
         jet.meta["nested"] = {"k": 1}
-        with configured(cow_clone=cow):
-            copy = jet.spawn_copy(2, budget=2)
+        copy = (jet.spawn_copy(2, budget=2) if cow
+                else _eager_spawn_copy(jet, 2, 2))
         copy.meta["nested"]["k"] = 2
         assert jet.meta["nested"]["k"] == 1
         assert copy.meta["jet_copy"] is True
@@ -249,18 +253,15 @@ class TestCloneAliasing:
         shuttle = Shuttle(0, 1, directives=[
             Directive(OP_SET_NEXT_STEP, role_id="fn.caching")])
         shuttle.freeze_cargo()
-        with configured(cow_clone=True):
-            twin = shuttle.clone()
+        twin = shuttle.clone()
         assert twin.directives is shuttle.directives  # CoW: shared tuple
-        with configured(cow_clone=False):
-            eager = shuttle.clone()
+        eager = _eager_clone(shuttle)
         assert list(eager.directives) == list(shuttle.directives)
 
     def test_unfrozen_cargo_is_copied_even_under_cow(self):
         shuttle = Shuttle(0, 1, directives=[
             Directive(OP_SET_NEXT_STEP, role_id="fn.caching")])
-        with configured(cow_clone=True):
-            twin = shuttle.clone()
+        twin = shuttle.clone()
         assert twin.directives is not shuttle.directives
 
     def test_clone_paths_agree(self):
@@ -269,9 +270,8 @@ class TestCloneAliasing:
             Directive(OP_SET_NEXT_STEP, role_id="fn.fusion")],
             credential="cred", ttl=17, data={"x": 1})
         shuttle.hops = 4
-        for cow in (True, False):
-            with configured(cow_clone=cow):
-                _assert_clone_semantics(shuttle, shuttle.clone())
+        _assert_clone_semantics(shuttle, shuttle.clone())
+        _assert_clone_semantics(shuttle, _eager_clone(shuttle))
 
     @given(ttl=st.integers(min_value=1, max_value=255),
            hops=st.integers(min_value=0, max_value=64),
@@ -288,15 +288,59 @@ class TestCloneAliasing:
         shuttle.meta["blob"] = {"v": meta_val}
         if frozen:
             shuttle.freeze_cargo()
-        with configured(cow_clone=True):
-            fast = shuttle.clone()
-        with configured(cow_clone=False):
-            eager = shuttle.clone()
+        fast = shuttle.clone()
+        eager = _eager_clone(shuttle)
+        _assert_one_id_each(fast, eager)
         for attr in ("src", "dst", "ttl", "hops", "size_bytes",
                      "created_at", "flow_id", "meta", "payload",
                      "morphs", "data", "interface", "target_class"):
             assert getattr(fast, attr) == getattr(eager, attr), attr
         assert list(fast.directives) == list(eager.directives)
+
+    @STANDARD_SETTINGS
+    @given(n_directives=st.integers(min_value=0, max_value=4),
+           frozen=st.booleans(),
+           budget=st.integers(min_value=0, max_value=16),
+           copy_budget=st.integers(min_value=0, max_value=16),
+           visited=st.sets(st.integers(min_value=0, max_value=9),
+                           max_size=5),
+           morphs=st.integers(min_value=0, max_value=3),
+           data=st.none() | st.integers(),
+           payload=st.none() | st.text(max_size=4),
+           created_at=st.floats(min_value=0.0, max_value=100.0),
+           hops=st.integers(min_value=0, max_value=64),
+           meta_val=st.text(max_size=8),
+           flow_id=st.none() | st.integers(min_value=1, max_value=99),
+           via_clone=st.booleans())
+    def test_property_jet_copies_equal_eager_copies(
+            self, n_directives, frozen, budget, copy_budget, visited,
+            morphs, data, payload, created_at, hops, meta_val, flow_id,
+            via_clone):
+        jet = Jet(1, 2, directives=[
+            Directive(OP_SET_NEXT_STEP, role_id=f"fn.r{i}")
+            for i in range(n_directives)], replicate_budget=budget,
+            credential="cred", data=data, payload=payload,
+            created_at=created_at, flow_id=flow_id)
+        jet.hops = hops
+        jet.visited |= visited
+        jet.morphs = morphs
+        jet.meta["blob"] = {"v": meta_val}
+        if frozen:
+            jet.freeze_cargo()
+        if via_clone:
+            fast = jet.clone()
+            eager = _eager_jet_clone(jet)
+        else:
+            fast = jet.spawn_copy(3, copy_budget)
+            eager = _eager_spawn_copy(jet, 3, copy_budget)
+        _assert_one_id_each(fast, eager)
+        assert type(fast) is type(eager) is Jet
+        for slot in _JET_SLOTS:
+            if slot not in ("packet_id", "ployon_id", "directives"):
+                assert getattr(fast, slot) == getattr(eager, slot), slot
+        assert list(fast.directives) == list(eager.directives)
+        assert fast.visited is not jet.visited
+        assert fast.meta["blob"] is not jet.meta["blob"]
 
     def test_arq_retransmission_shares_frozen_template_cargo(self):
         sim = Simulator(seed=5)
@@ -315,10 +359,9 @@ class TestCloneAliasing:
         shuttle = Shuttle(0, 1, directives=[
             Directive(OP_SET_NEXT_STEP, role_id="fn.caching")],
             credential=cred)
-        with configured(cow_clone=True):
-            transport.send(0, shuttle)
-            assert isinstance(shuttle.directives, tuple)  # frozen
-            sim.run(until=5.0)
+        transport.send(0, shuttle)
+        assert isinstance(shuttle.directives, tuple)  # frozen
+        sim.run(until=5.0)
         assert transport.retries > 0
 
 
@@ -335,20 +378,18 @@ def _role_shuttle():
 class TestAdmissionMemo:
     def test_identical_payloads_hit_the_cache(self):
         verifier = AdmissionVerifier()
-        with configured(admission_memo=True):
-            first = verifier.vet(_role_shuttle())
-            second = verifier.vet(_role_shuttle())
+        first = verifier.vet(_role_shuttle())
+        second = verifier.vet(_role_shuttle())
         assert first.ok and second.ok
         assert verifier.verdict_cache_hits == 1
         assert verifier.vets == 2
 
     def test_tamper_after_cached_verdict_is_caught(self):
         verifier = AdmissionVerifier()
-        with configured(admission_memo=True):
-            assert verifier.vet(_role_shuttle()).ok
-            tampered = _role_shuttle()
-            tampered.directives[0].op = "evil-op"
-            verdict = verifier.vet(tampered)
+        assert verifier.vet(_role_shuttle()).ok
+        tampered = _role_shuttle()
+        tampered.directives[0].op = "evil-op"
+        verdict = verifier.vet(tampered)
         assert not verdict.ok
         assert verifier.rejections == 1
 
@@ -358,27 +399,18 @@ class TestAdmissionMemo:
         poison.meta["manifest"] = ("install-code",)
         poison2 = _role_shuttle()
         poison2.meta["manifest"] = ("install-code",)
-        with configured(admission_memo=True):
-            assert not verifier.vet(poison).ok
-            assert not verifier.vet(poison2).ok
+        assert not verifier.vet(poison).ok
+        assert not verifier.vet(poison2).ok
         assert verifier.verdict_cache_hits == 1
         assert verifier.rejections == 2
-
-    def test_memo_off_never_hits(self):
-        verifier = AdmissionVerifier()
-        with configured(admission_memo=False):
-            verifier.vet(_role_shuttle())
-            verifier.vet(_role_shuttle())
-        assert verifier.verdict_cache_hits == 0
 
     def test_authorization_mode_bypasses_the_memo(self):
         sim, ships, cred = _two_ship_net()
         verifier = AdmissionVerifier()
         shuttle = _role_shuttle()
         shuttle.credential = cred
-        with configured(admission_memo=True):
-            verifier.vet(shuttle, ships[1], check_authorization=True)
-            verifier.vet(shuttle, ships[1], check_authorization=True)
+        verifier.vet(shuttle, ships[1], check_authorization=True)
+        verifier.vet(shuttle, ships[1], check_authorization=True)
         assert verifier.verdict_cache_hits == 0
 
     def test_untokenizable_args_are_uncacheable(self):
@@ -386,18 +418,16 @@ class TestAdmissionMemo:
         shuttle = Shuttle(0, 1, directives=[
             Directive(OP_SET_NEXT_STEP, role_id="fn.caching")])
         shuttle.directives[0].args["payload"] = object()  # no token
-        with configured(admission_memo=True):
-            verifier.vet(shuttle)
-            verifier.vet(shuttle)
+        verifier.vet(shuttle)
+        verifier.vet(shuttle)
         assert verifier.verdict_cache_hits == 0
 
     def test_cache_capacity_is_bounded(self):
         verifier = AdmissionVerifier()
         verifier.VERDICT_CACHE_CAP = 8
-        with configured(admission_memo=True):
-            for i in range(20):
-                verifier.vet(Shuttle(0, 1, directives=[
-                    Directive(OP_SET_NEXT_STEP, role_id=f"fn.r{i}")]))
+        for i in range(20):
+            verifier.vet(Shuttle(0, 1, directives=[
+                Directive(OP_SET_NEXT_STEP, role_id=f"fn.r{i}")]))
         assert len(verifier._verdicts) <= 8
 
     def test_memo_verdict_equals_uncached_verdict(self):
@@ -405,12 +435,10 @@ class TestAdmissionMemo:
         poison.meta["manifest"] = ("forged",)
         for shuttle in (_role_shuttle(), poison):
             memo_verifier = AdmissionVerifier()
-            cold_verifier = AdmissionVerifier()
-            with configured(admission_memo=True):
-                memo_verifier.vet(shuttle)
-                memoized = memo_verifier.vet(shuttle)
-            with configured(admission_memo=False):
-                cold = cold_verifier.vet(shuttle)
+            memo_verifier.vet(shuttle)
+            memoized = memo_verifier.vet(shuttle)
+            assert memo_verifier.verdict_cache_hits == 1
+            cold = AdmissionVerifier()._vet_uncached(shuttle, None, False)
             assert memoized.ok == cold.ok
             assert memoized.reasons == cold.reasons
 
@@ -438,71 +466,63 @@ class TestKnowledgeDigestCache:
     def test_cache_hit_until_membership_changes(self):
         kb = KnowledgeBase()
         kb.record(Fact("c", "v1"), now=0.0)
-        with configured(digest_cache=True):
-            first = kb.content_digest()
-            again = kb.content_digest()
-            assert again == first
-            assert kb.digest_hits == 1
-            kb.record(Fact("c", "v2"), now=1.0)
-            changed = kb.content_digest()
+        first = kb.content_digest()
+        again = kb.content_digest()
+        assert again == first
+        assert kb.digest_hits == 1
+        kb.record(Fact("c", "v2"), now=1.0)
+        changed = kb.content_digest()
         assert changed != first
 
     def test_touch_of_existing_fact_keeps_cache(self):
         kb = KnowledgeBase()
         kb.record(Fact("c", "v1"), now=0.0)
-        with configured(digest_cache=True):
-            first = kb.content_digest()
-            kb.record(Fact("c", "v1"), now=2.0)  # reweighs, same member
-            assert kb.content_digest() == first
-            assert kb.digest_hits == 1
+        first = kb.content_digest()
+        kb.record(Fact("c", "v1"), now=2.0)  # reweighs, same member
+        assert kb.content_digest() == first
+        assert kb.digest_hits == 1
 
     def test_cached_equals_uncached(self):
         kb = KnowledgeBase()
         for i in range(10):
             kb.record(Fact(f"c{i % 3}", f"v{i}"), now=float(i))
-        with configured(digest_cache=True):
-            kb.content_digest()
-            warm = kb.content_digest()
-        with configured(digest_cache=False):
-            cold = kb.content_digest()
+        kb.content_digest()
+        warm = kb.content_digest()
+        assert kb.digest_hits == 1
+        kb._digest_dirty = True       # force the recompute
+        cold = kb.content_digest()
+        assert kb.digest_hits == 1
         assert warm == cold
 
     def test_removal_invalidates(self):
         kb = KnowledgeBase(capacity=2)
         kb.record(Fact("c", "v1", weight=0.1), now=0.0)
         kb.record(Fact("c", "v2"), now=0.0)
-        with configured(digest_cache=True):
-            before = kb.content_digest()
-            kb.record(Fact("c", "v3"), now=0.0)  # evicts the lightest
-            assert kb.content_digest() != before
+        before = kb.content_digest()
+        kb.record(Fact("c", "v3"), now=0.0)  # evicts the lightest
+        assert kb.content_digest() != before
 
 
-class TestMetricsDigestCache:
-    def test_stamp_invalidates_on_kernel_progress(self):
+class TestMetricsDigest:
+    def test_kernel_progress_moves_the_digest(self):
         sim = Simulator(seed=4)
         sim.obs.enable()
         sim.call_in(1.0, lambda: sim.obs.node_packets.inc(
             node=0, event="delivered"))
-        with configured(digest_cache=True):
-            idle = sim.obs.metrics_digest()
-            assert sim.obs.metrics_digest() == idle
-            assert sim.obs.metrics_digest_hits == 1
-            sim.run()
-            after = sim.obs.metrics_digest()
-        assert after != idle
+        idle = sim.obs.metrics_digest()
+        assert sim.obs.metrics_digest() == idle
+        sim.run()
+        assert sim.obs.metrics_digest() != idle
 
-    def test_cached_equals_uncached(self):
+    def test_counter_change_outside_an_event_moves_the_digest(self):
+        """Regression: a digest cache stamped with ``(events_executed,
+        now)`` returned the stale digest when an instrument changed
+        with no event in between."""
         sim = Simulator(seed=4)
         sim.obs.enable()
-        sim.call_in(1.0, lambda: sim.obs.node_packets.inc(
-            node=1, event="drop"))
-        sim.run()
-        with configured(digest_cache=True):
-            sim.obs.metrics_digest()
-            warm = sim.obs.metrics_digest()
-        with configured(digest_cache=False):
-            cold = sim.obs.metrics_digest()
-        assert warm == cold
+        before = sim.obs.metrics_digest()
+        sim.obs.node_packets.inc(node=0, event="delivered")
+        assert sim.obs.metrics_digest() != before
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +553,7 @@ class TestHarness:
     def test_result_shape_and_roundtrip(self, tmp_path):
         result = run_scenario("event-loop", seed=SEED, scale=SCALE)
         payload = result.to_dict()
-        for field in ("scenario", "seed", "scale", "switches",
+        for field in ("scenario", "seed", "scale",
                       "wall_time_s", "events_per_sec", "digest",
                       "counters", "peak_agenda_depth"):
             assert field in payload
@@ -593,12 +613,6 @@ class TestHarness:
         assert not ok
         assert any("no overlapping" in line for line in lines)
 
-    def test_ablate_reports_stable_digests(self):
-        report = ablate("admission-dock", seed=SEED, scale=SCALE)
-        assert report["digest_stable"]
-        assert set(report["variants"]) \
-            == {"all-off"} | {f"no-{s}" for s in DEFAULTS}
-
 
 # ----------------------------------------------------------------------
 # CLI
@@ -619,8 +633,7 @@ class TestBenchCli:
         assert cli_main(["bench", "event-loop", "jet-flood",
                          "--scale", "tiny", "--repeats", "1",
                          "--out", str(tmp_path),
-                         "--combined", str(combined),
-                         "--no-opt"]) == 0
+                         "--combined", str(combined)]) == 0
         assert combined.exists()
         assert cli_main(["bench", "event-loop", "jet-flood",
                          "--scale", "tiny", "--repeats", "1",
@@ -651,12 +664,6 @@ class TestBenchCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["scenario"] == "event-loop"
 
-    def test_ablate(self, tmp_path, capsys):
-        assert cli_main(["bench", "event-loop", "--scale", "tiny",
-                         "--repeats", "1", "--ablate",
-                         "--out", str(tmp_path)]) == 0
-        assert "ok" in capsys.readouterr().out
-
 
 # ----------------------------------------------------------------------
 # committed baseline sanity
@@ -672,13 +679,12 @@ class TestCommittedBaseline:
         for entry in entries:
             assert entry["seed"] == 42
             assert entry["scale"] == "short"
-            assert not any(entry["switches"].values())  # opts-off anchor
             assert len(entry["digest"]) == 16
 
     def test_current_tree_reproduces_baseline_digests(self):
-        """The committed anchor must stay bit-true on this tree: a
-        fresh opts-on run at the baseline's own (seed, scale)
-        reproduces its digests exactly."""
+        """The committed anchor, recorded by the reference paths, must
+        stay bit-true on this tree: a fresh run at the baseline's own
+        (seed, scale) reproduces its digests exactly."""
         import os
         path = os.path.join(os.path.dirname(__file__), "..",
                             "BENCH_baseline.json")

@@ -531,9 +531,9 @@ class TestHarnessWallTimes:
 
     def test_digest_ignores_workers(self):
         counters = {"sent": 1, "final_time": 2.0}
-        a = BenchResult("shard-scaling", 42, "tiny", {}, 1, 0.5,
+        a = BenchResult("shard-scaling", 42, "tiny", 1, 0.5,
                         counters, {"events": 3}, workers=1)
-        b = BenchResult("shard-scaling", 42, "tiny", {}, 1, 0.5,
+        b = BenchResult("shard-scaling", 42, "tiny", 1, 0.5,
                         counters, {"events": 3}, workers=4, backend="mp",
                         shard_stats={"mode": "sharded"})
         assert a.digest == b.digest

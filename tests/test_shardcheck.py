@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from repro.cli import main as cli_main
+from repro.perf import harness
 from repro.perf.harness import run_sanitized, run_scenario
 from repro.sanitize import (DrawTape, Injection, diff_tapes, taped)
 from repro.staticcheck import (LintError, shardcheck_paths)
@@ -500,6 +501,10 @@ class TestDiffTapes:
         assert "outside the taped streams" in d.describe()[0]
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a scenario ran before the arguments were checked")
+
+
 class TestSanitizeRuns:
     def test_self_comparison_is_clean(self):
         report = run_sanitized("event-loop", seed=7, scale="tiny")
@@ -516,11 +521,6 @@ class TestSanitizeRuns:
         assert recorded.digest == plain.digest
         assert tape.merges[-1].digest == plain.digest
         assert tape.merges[-1].label == "run:event-loop:7:tiny"
-
-    def test_optimizations_draw_identically(self):
-        report = run_sanitized("event-loop", scale="tiny",
-                               against="no-opt")
-        assert report.ok and report.against == "no-opt"
 
     def test_telemetry_draws_identically(self):
         # obs collection needs a shardable scenario
@@ -559,6 +559,14 @@ class TestSanitizeRuns:
         with pytest.raises(ValueError):
             run_sanitized("event-loop", scale="tiny", against="what")
 
+    def test_obs_against_unshardable_fails_before_any_run(self,
+                                                          monkeypatch):
+        """Regression: the shardable check used to fire only in run B,
+        after run A had already run and been taped."""
+        monkeypatch.setattr(harness, "run_scenario", _no_run)
+        with pytest.raises(ValueError, match="shardable"):
+            run_sanitized("event-loop", scale="tiny", against="obs")
+
 
 class TestSanitizeCli:
     def test_clean_run_exits_0(self, capsys):
@@ -574,10 +582,29 @@ class TestSanitizeCli:
         assert "scenarios.py" in out
 
     def test_json_output_parses(self, capsys):
-        assert cli_main(["sanitize", "event-loop", "--scale", "tiny",
-                         "--against", "no-opt", "--json"]) == 0
+        assert cli_main(["sanitize", "shuttle-storm", "--scale", "tiny",
+                         "--against", "obs", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True and doc["against"] == "no-opt"
+        assert doc["ok"] is True and doc["against"] == "obs"
+
+    def test_obs_against_unshardable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_scenario", _no_run)
+        assert cli_main(["sanitize", "event-loop", "--scale", "tiny",
+                         "--against", "obs"]) == 2
+        assert "shardable" in capsys.readouterr().err
+
+    def test_all_rejects_inject_and_against(self, monkeypatch, capsys):
+        """``--all`` runs one taped pass per scenario with no B run, so
+        ``--inject`` and ``--against`` would be silently ignored."""
+        monkeypatch.setattr(harness, "run_scenario", _no_run)
+        assert cli_main(["sanitize", "--all", "--scale", "tiny",
+                         "--inject", "perf.event_loop@5",
+                         "--against", "obs"]) == 2
+        assert cli_main(["sanitize", "--all", "--scale", "tiny",
+                         "--inject", "perf.event_loop@5"]) == 2
+        assert cli_main(["sanitize", "--all", "--scale", "tiny",
+                         "--against", "obs"]) == 2
+        assert "--all" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self, capsys):
         assert cli_main(["sanitize"]) == 2

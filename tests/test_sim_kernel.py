@@ -5,6 +5,8 @@ import pytest
 from repro.substrates.sim import (SchedulingError, Signal, Simulator,
                                   Timeout, spawn)
 
+from .kernel_oracle import simulator
+
 
 class TestScheduling:
     def test_starts_at_time_zero(self):
@@ -485,7 +487,8 @@ class TestHorizonPauseResume:
     """run(until=...) paused at an epoch boundary and resumed must be
     indistinguishable from one monolithic run — zero extra RNG draws,
     zero counter drift.  This is the kernel contract the shard
-    executor's epoch barriers rely on."""
+    executor's epoch barriers rely on.  ``fast`` picks the batched
+    :class:`Simulator` or the reference-loop oracle."""
 
     @staticmethod
     def _build(sim, log):
@@ -505,23 +508,21 @@ class TestHorizonPauseResume:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_segmented_equals_monolithic(self, fast):
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            mono_sim = Simulator(seed=7)
-            mono_log = []
-            self._build(mono_sim, mono_log)
-            mono_sim.run(until=2.0)
+        mono_sim = simulator(fast, seed=7)
+        mono_log = []
+        self._build(mono_sim, mono_log)
+        mono_sim.run(until=2.0)
 
-            seg_sim = Simulator(seed=7)
-            seg_log = []
-            self._build(seg_sim, seg_log)
-            t = 0.0
-            # Awkward epoch lengths, some landing exactly on event times.
-            for step in (0.05, 0.13, 0.02, 0.1) * 10:
-                t = min(2.0, t + step)
-                seg_sim.run(until=t)
-                if t >= 2.0:
-                    break
+        seg_sim = simulator(fast, seed=7)
+        seg_log = []
+        self._build(seg_sim, seg_log)
+        t = 0.0
+        # Awkward epoch lengths, some landing exactly on event times.
+        for step in (0.05, 0.13, 0.02, 0.1) * 10:
+            t = min(2.0, t + step)
+            seg_sim.run(until=t)
+            if t >= 2.0:
+                break
 
         assert seg_log == mono_log
         assert self._state(seg_sim) == self._state(mono_sim)
@@ -530,24 +531,22 @@ class TestHorizonPauseResume:
     def test_injection_between_segments(self, fast):
         """External events injected at a barrier (time >= now, beyond
         the paused horizon) fire exactly like natively scheduled ones."""
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            native = Simulator(seed=3)
-            nlog = []
-            native.call_at(0.5, nlog.append, "x")
-            native.call_at(1.0, nlog.append, "boundary")
-            native.call_at(1.25, nlog.append, "y")
-            native.run(until=2.0)
+        native = simulator(fast, seed=3)
+        nlog = []
+        native.call_at(0.5, nlog.append, "x")
+        native.call_at(1.0, nlog.append, "boundary")
+        native.call_at(1.25, nlog.append, "y")
+        native.run(until=2.0)
 
-            seg = Simulator(seed=3)
-            slog = []
-            seg.call_at(0.5, slog.append, "x")
-            seg.run(until=1.0)
-            assert seg.now == 1.0
-            # Injection at exactly the horizon and strictly beyond it.
-            seg.call_at(1.0, slog.append, "boundary")
-            seg.call_at(1.25, slog.append, "y")
-            seg.run(until=2.0)
+        seg = simulator(fast, seed=3)
+        slog = []
+        seg.call_at(0.5, slog.append, "x")
+        seg.run(until=1.0)
+        assert seg.now == 1.0
+        # Injection at exactly the horizon and strictly beyond it.
+        seg.call_at(1.0, slog.append, "boundary")
+        seg.call_at(1.25, slog.append, "y")
+        seg.run(until=2.0)
 
         assert slog == nlog
         assert seg.now == native.now == 2.0
@@ -558,33 +557,29 @@ class TestHorizonPauseResume:
         """Regression: a max_events break used to clamp the clock to
         ``until`` with events still pending before it, so time ran
         backwards on resume and injection raised SchedulingError."""
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=1)
-            fired = []
-            for t in (1.0, 2.0, 3.0):
-                sim.call_at(t, fired.append, t)
-            sim.run(until=10.0, max_events=1)
-            assert fired == [1.0]
-            assert sim.now == 1.0  # not clamped to 10.0
-            # Injection between the paused clock and the pending work
-            # must be legal and fire in order.
-            sim.call_at(1.5, fired.append, 1.5)
-            sim.run(until=10.0)
-            assert fired == [1.0, 1.5, 2.0, 3.0]
-            assert sim.now == 10.0
+        sim = simulator(fast, seed=1)
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.call_at(t, fired.append, t)
+        sim.run(until=10.0, max_events=1)
+        assert fired == [1.0]
+        assert sim.now == 1.0  # not clamped to 10.0
+        # Injection between the paused clock and the pending work
+        # must be legal and fire in order.
+        sim.call_at(1.5, fired.append, 1.5)
+        sim.run(until=10.0)
+        assert fired == [1.0, 1.5, 2.0, 3.0]
+        assert sim.now == 10.0
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_zero_length_epoch_is_a_noop(self, fast):
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=1)
-            sim.call_at(1.0, lambda: None)
-            sim.run(until=0.5)
-            before = (sim.now, sim.events_executed, sim.pending_events)
-            sim.run(until=0.5)
-            assert (sim.now, sim.events_executed,
-                    sim.pending_events) == before
+        sim = simulator(fast, seed=1)
+        sim.call_at(1.0, lambda: None)
+        sim.run(until=0.5)
+        before = (sim.now, sim.events_executed, sim.pending_events)
+        sim.run(until=0.5)
+        assert (sim.now, sim.events_executed,
+                sim.pending_events) == before
 
     def test_scenario_counters_survive_slicing(self):
         """Slicing a macro-scenario's horizon into awkward epochs
