@@ -159,24 +159,25 @@ chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign smoke --seed 7
 	@echo "chaos-smoke: invariants held"
 
-# Fault-tolerant sharding gate: SIGKILL a shard worker mid-run (the
-# worker-kill campaign asserts the recovered 2-shard digest equals the
-# fault-free single-shard digest and that a restart actually
-# happened), SIGSTOP one (the worker-stall campaign drives the missed
-# reply deadline through the shared bounded reply wait, the kill of
-# the stalled process and its replay), then run a supervised 2-worker
-# bench and require its digest byte-identical to the committed
-# baseline.  Recovery must be invisible where determinism is judged.
+# Fault-tolerant sharding gate (every mp run is supervised; the
+# supervised digests themselves are gated by bench-parallel): SIGKILL
+# a shard worker mid-run (the worker-kill campaign asserts the
+# recovered 2-shard digest equals the fault-free single-shard digest
+# and that a restart actually happened), SIGSTOP one (the worker-stall
+# campaign drives the missed reply deadline through the bounded reply
+# wait, the kill of the stalled process and its replay), then spend
+# the restart budget (the worker-budget-exhausted campaign asserts the
+# run degrades to inline with the same digest; it is where every
+# deterministic worker failure ends).  Recovery must be invisible
+# where determinism is judged.
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-kill \
 		--seed 7
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-stall \
 		--seed 7
-	PYTHONPATH=src $(PYTHON) -m repro bench shard-scaling \
-		--workers 2 --backend mp --recover --seed 42 --scale short \
-		--out /tmp/recovery-smoke \
-		--compare BENCH_baseline.json --fail-over 90
-	@echo "recovery-smoke: digest-identical recovery, supervised digest gated"
+	PYTHONPATH=src $(PYTHON) -m repro chaos \
+		--campaign worker-budget-exhausted --seed 7
+	@echo "recovery-smoke: digest-identical recovery and degradation"
 
 all: test bench
 

@@ -116,14 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "default: 1)")
     bench.add_argument("--backend", choices=("inline", "mp"),
                        default="mp",
-                       help="shard backend when --workers > 1: forked "
-                            "processes (mp) or the in-process oracle "
-                            "(inline); default: mp")
-    bench.add_argument("--recover", action="store_true",
-                       help="fault-tolerant mp backend (needs --workers "
-                            ">= 2): supervise shard workers, journal "
-                            "epochs, and recover crashed/stalled workers "
-                            "digest-identically (see docs/RESILIENCE.md)")
+                       help="shard backend when --workers > 1: forked, "
+                            "supervised processes (mp) or the in-process "
+                            "oracle (inline); default: mp")
     bench.add_argument("--obs-out", metavar="PATH", default=None,
                        help="collect each shard's metrics/spans/profile, "
                             "merge them and write the unified JSONL "
@@ -412,19 +407,6 @@ def cmd_bench(args) -> int:
     if args.workers < 1:
         print("bench: --workers must be >= 1", file=sys.stderr)
         return 2
-    recovery = None
-    if args.recover:
-        if args.backend != "mp":
-            print("bench: --recover requires --backend mp (the inline "
-                  "oracle has no processes to lose)", file=sys.stderr)
-            return 2
-        if args.workers < 2:
-            print("bench: --recover requires --workers >= 2 (a single "
-                  "shard runs in-process, with no workers to lose)",
-                  file=sys.stderr)
-            return 2
-        from .shard import RecoveryConfig
-        recovery = RecoveryConfig()
     if args.obs_out:
         from .perf import SHARD_WORKLOADS
         if names is None or len(names) != 1 \
@@ -439,13 +421,11 @@ def cmd_bench(args) -> int:
         results = [run_scenario(names[0], seed=args.seed,
                                 scale=args.scale, repeats=args.repeats,
                                 workers=args.workers,
-                                backend=args.backend, obs=True,
-                                recovery=recovery)]
+                                backend=args.backend, obs=True)]
     else:
         results = run_all(seed=args.seed, scale=args.scale,
                           repeats=args.repeats, names=names,
-                          workers=args.workers, backend=args.backend,
-                          recovery=recovery)
+                          workers=args.workers, backend=args.backend)
     written = write_results(results, args.out, combined=args.combined)
     if args.obs_out and results[0].obs is not None:
         merged = results[0].obs

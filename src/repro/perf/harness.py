@@ -124,8 +124,8 @@ def _require_shardable(name: str) -> None:
 
 def run_scenario(name: str, seed: int = 42, scale: str = "short",
                  repeats: int = 1, workers: int = 1,
-                 backend: str = "inline", obs: bool = False,
-                 recovery: Optional[Any] = None) -> BenchResult:
+                 backend: str = "inline", obs: bool = False
+                 ) -> BenchResult:
     """Run one scenario; wall time is the best of ``repeats`` passes.
 
     ``workers > 1`` executes the scenario partitioned over shards
@@ -142,11 +142,8 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
     still produces a (K=1) merged view.  Telemetry is digest-neutral:
     counters stay byte-identical to an obs-off run.
 
-    ``recovery`` (a :class:`~repro.shard.recovery.RecoveryConfig`, or
-    ``True`` for the defaults) enables the fault-tolerant mp backend —
-    worker supervision, epoch journaling, digest-identical crash
-    recovery; the supervisor's accounting lands in
-    ``shard_stats["recovery"]``.
+    The ``mp`` backend always supervises its workers; the supervisor's
+    accounting lands in ``shard_stats["recovery"]``.
 
     Every pass must reproduce the same counters — a mismatch means the
     scenario leaks process-global state and is reported loudly rather
@@ -173,8 +170,7 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
         if sharded:
             workload = SHARD_WORKLOADS[name](seed, scale)
             pass_counters, pass_work, shard_stats = run_sharded(
-                workload, workers, backend=backend, obs=obs,
-                recovery=recovery)
+                workload, workers, backend=backend, obs=obs)
             # The MergedObs object must never leak into BENCH JSON —
             # pop it off the (serialized) stats dict.
             merged_obs = shard_stats.pop("obs", None) or merged_obs
@@ -233,13 +229,11 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
 
 def run_all(seed: int = 42, scale: str = "short", repeats: int = 1,
             names: Optional[Sequence[str]] = None, workers: int = 1,
-            backend: str = "inline",
-            recovery: Optional[Any] = None) -> List[BenchResult]:
+            backend: str = "inline") -> List[BenchResult]:
     """Run the suite (or the ``names`` subset) in catalog order."""
     selected = list(names) if names else list(SCENARIOS)
     return [run_scenario(name, seed=seed, scale=scale, repeats=repeats,
-                         workers=workers, backend=backend,
-                         recovery=recovery)
+                         workers=workers, backend=backend)
             for name in selected]
 
 

@@ -10,9 +10,11 @@ needs to exploit that:
 
 * typed barrier-protocol errors (:class:`ShardWorkerTimeout`,
   :class:`ShardWorkerCrash`, :class:`RestartBudgetExhausted`) raised by
-  the plain mp backend and handled by the supervisor;
+  the supervisor's bounded reply wait and restart ladder, and handled
+  by the supervisor itself;
 * :class:`EpochJournal` — every epoch's per-shard injection batch
-  (pickled at send time) plus the worker outbox digests observed at the
+  (pickled once, at send time: the journaled bytes are what the epoch
+  message carries) plus the worker outbox digests observed at the
   barrier, held in memory for the run;
 * :class:`FaultPlan` — deterministic process-level fault injection
   (SIGKILL / SIGSTOP at named barriers) for the chaos campaigns and the
@@ -38,11 +40,6 @@ import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..substrates.sim.rng import active_tape, derive_seed
-
-#: Per-barrier reply deadline for the *unsupervised* mp backend: far
-#: beyond any legitimate epoch, so it only trips on a genuinely hung
-#: worker — but trips instead of blocking ``recv()`` forever.
-DEFAULT_BARRIER_DEADLINE_S = 120.0
 
 #: The dedicated stream name feeding restart-backoff jitter.
 BACKOFF_STREAM = "shard.recovery.backoff"
@@ -114,13 +111,17 @@ class RestartBudgetExhausted(ShardWorkerError):
 # ----------------------------------------------------------------------
 
 class RecoveryConfig:
-    """Supervision knobs for the fault-tolerant mp backend.
+    """Supervision knobs for the mp backend (always supervised).
 
     ``barrier_deadline_s`` bounds every per-barrier reply wait
     (:meth:`multiprocessing.connection.Connection.poll`); a miss is a
-    *stall* and the worker is killed and replaced.  ``max_restarts`` is
-    the run-wide budget across all shards — exhausting it degrades the
-    run to the inline oracle instead of raising.  Backoff before each
+    *stall* and the worker is killed and replaced.  Every mp run waits
+    on it, so the default (120 s) sits far beyond any legitimate epoch
+    — a plan with no cut links runs the whole horizon as one epoch —
+    and only trips on a genuinely hung worker; chaos campaigns and
+    tests set their own.  ``max_restarts`` is the run-wide budget
+    across all shards — exhausting it degrades the run to the inline
+    oracle instead of raising.  Backoff before each
     respawn is exponential per shard with jitter drawn from the
     dedicated :data:`BACKOFF_STREAM` seeded stream, so even wall-clock
     pauses are a pure function of ``(seed, restart ordinal)``.
@@ -131,7 +132,7 @@ class RecoveryConfig:
     __slots__ = ("barrier_deadline_s", "max_restarts", "backoff_base_s",
                  "backoff_max_s", "faults")
 
-    def __init__(self, barrier_deadline_s: float = 30.0,
+    def __init__(self, barrier_deadline_s: float = 120.0,
                  max_restarts: int = 3, backoff_base_s: float = 0.05,
                  backoff_max_s: float = 1.0,
                  faults: Optional["FaultPlan"] = None):
@@ -274,10 +275,11 @@ class _EpochEntry:
 class EpochJournal:
     """The supervisor's flight log of the barrier protocol.
 
-    ``record_send`` journals the injection batches as each epoch opens;
-    ``record_digest`` stamps the worker partial digests as replies
-    arrive.  ``replay_entries(shard, upto)`` assembles the exact replay
-    stream a replacement for ``shard`` needs to reach barrier ``upto``.
+    ``record_send`` journals (and returns, pickled) the injection
+    batches as each epoch opens; ``record_digest`` stamps the worker
+    partial digests as replies arrive.  ``replay_entries(shard, upto)``
+    assembles the exact replay stream a replacement for ``shard`` needs
+    to reach barrier ``upto``.
     """
 
     def __init__(self, k: int):
@@ -287,11 +289,13 @@ class EpochJournal:
 
     # -- recording ---------------------------------------------------------
     def record_send(self, epoch: int, epoch_end: float,
-                    batches: Dict[int, List[Any]]) -> None:
-        self.entries[epoch] = _EpochEntry(
-            epoch_end,
-            [pickle.dumps(batches.get(i, [])) for i in range(self.k)],
-            self.k)
+                    batches: Dict[int, List[Any]]) -> List[bytes]:
+        """Journal the epoch's per-shard batches; returns the pickled
+        bytes, shard by shard, for the epoch messages to carry."""
+        batch_bytes = [pickle.dumps(batches.get(i, []))
+                       for i in range(self.k)]
+        self.entries[epoch] = _EpochEntry(epoch_end, batch_bytes, self.k)
+        return batch_bytes
 
     def record_digest(self, epoch: int, shard_index: int,
                       digest: str) -> None:

@@ -1,11 +1,14 @@
-"""The supervising parent loop for fault-tolerant sharded execution.
+"""The forked ``mp`` backend: the supervising parent and its workers.
 
-:func:`run_supervised` drives the same epoch-barrier protocol as the
-plain mp backend, but wraps every protocol step in supervision:
+Every ``run_sharded(..., backend="mp")`` runs here, and this module
+holds both ends of the pipe protocol: :func:`_worker_main` serves one
+shard per forked process, and :class:`ShardSupervisor` drives the
+epoch barriers, wrapping every protocol step in supervision:
 
 * every epoch's injection batches are journaled *before* the send
-  (:class:`~repro.shard.recovery.EpochJournal`), and every worker's
-  outbox digest is journaled as its reply arrives;
+  (:class:`~repro.shard.recovery.EpochJournal`) and the journaled bytes
+  are what the epoch message carries; every worker's outbox digest is
+  journaled as its reply arrives;
 * worker death (exitcode sentinel / EOF / broken pipe) and stall
   (missed per-barrier reply deadline) are detected, the dead process is
   reaped, and a replacement is forked after a seeded exponential
@@ -18,7 +21,9 @@ plain mp backend, but wraps every protocol step in supervision:
 * when the run-wide restart budget is exhausted the run *degrades*
   deterministically: every worker is killed and the inline oracle
   re-executes the workload from scratch in-process, flagged
-  ``degraded`` in stats — never a crash.
+  ``degraded`` in stats.  A deterministic workload failure (one that
+  kills every replacement too) therefore ends in the inline re-run,
+  which raises the workload's own exception in the caller.
 
 Fault injection (:class:`~repro.shard.recovery.FaultPlan`) is applied
 by the supervisor itself at exact protocol points, so chaos campaigns
@@ -42,9 +47,8 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .executor import (ShardWorkload, _epoch_ends, _recv_deadline,
-                       _route, _run_inline, _stats, _sum_partials,
-                       _worker_main)
+from .executor import (ShardWorkload, _advance, _arm_obs, _epoch_ends,
+                       _route, _run_inline, _stats, _sum_partials)
 from .partition import ShardPlan
 from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
                        EpochJournal, RecoveryConfig,
@@ -52,6 +56,115 @@ from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
                        ShardWorkerError, ShardWorkerTimeout,
                        outbox_digest)
 
+
+# ----------------------------------------------------------------------
+# the worker end of the pipe protocol
+# ----------------------------------------------------------------------
+
+def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
+                 shard_index: int, obs: bool = False) -> None:
+    """One shard in its own process: build, then serve the barrier
+    protocol.  ``("epoch", epoch_end, batch_bytes)`` injects the
+    journaled batch, runs to the epoch end and returns the outbox plus
+    the running event/CPU counters the epoch timeline needs;
+    ``("collect",)`` returns the shard's partial and, with ``obs`` on,
+    its full :class:`~repro.obs.snapshot.ObsSnapshot`.
+
+    A ``("replay", entries)`` message (sent to a freshly forked
+    replacement) fast-forwards this replica through the journaled epoch
+    history with the same step, and *discards* each outbox — the
+    original worker already shipped those handoffs before it died.
+    Each discarded outbox is fingerprinted against its journaled
+    partial digest (when one was recorded), so a replay that diverged
+    is detected at the worker, not at the final digest."""
+    workload = pickle.loads(workload_bytes)
+    owned = frozenset(plan.shards[shard_index])
+    ctx = workload.build(owned=owned)
+    if obs:
+        _arm_obs(ctx, shard_index)
+    workload.setup(ctx, owned=owned)
+    sim, fabric = ctx["sim"], ctx["fabric"]
+    cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
+    barriers = 0
+    try:
+        while True:
+            message = conn.recv()
+            kind = message[0]
+            if kind == "epoch":
+                _, epoch_end, batch_bytes = message
+                _advance(ctx, pickle.loads(batch_bytes), epoch_end,
+                         barriers)
+                barriers += 1
+                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
+                conn.send((fabric.drain_outbox(), sim.events_executed,
+                           cpu_s))
+            elif kind == "replay":
+                # Recovery's own digest, not this module's name: the
+                # replacement checks the journal independently of how
+                # the parent fingerprinted it (a test substitutes the
+                # parent's to plant a divergence).
+                from .recovery import outbox_digest
+                _, entries = message
+                mismatches = 0
+                for epoch_end, batch_bytes, expected in entries:
+                    _advance(ctx, pickle.loads(batch_bytes), epoch_end,
+                             barriers)
+                    barriers += 1
+                    outbox = fabric.drain_outbox()
+                    if expected is not None \
+                            and outbox_digest(outbox) != expected:
+                        mismatches += 1
+                if sim.obs.on:
+                    sim.obs.shard_worker_restarts.inc()
+                    if entries:
+                        sim.obs.recovery_replay_epochs.inc(len(entries))
+                    if sim._flight is not None:
+                        sim._flight.note(
+                            "replay", sim.now,
+                            f"replayed {len(entries)} epoch(s)",
+                            mismatches=mismatches)
+                conn.send(("replayed", len(entries), mismatches))
+            elif kind == "collect":
+                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
+                snapshot = None
+                if obs:
+                    from ..obs.snapshot import ObsSnapshot
+                    snapshot = ObsSnapshot.capture(sim.obs,
+                                                   shard=shard_index)
+                conn.send((workload.collect(ctx, owned), cpu_s, snapshot))
+            else:  # "quit"
+                return
+    finally:
+        conn.close()
+
+
+def _recv_deadline(conn, proc, shard_index: int, epoch: int,
+                   barrier_time: float, deadline_s: float):
+    """One barrier reply, bounded by ``deadline_s``.
+
+    Raises a typed error instead of blocking forever: a missed deadline
+    with a live process is a :class:`~repro.shard.recovery.
+    ShardWorkerTimeout` (stall), a dead process or EOF on the pipe is a
+    :class:`~repro.shard.recovery.ShardWorkerCrash`, so a hung worker
+    can never wedge the parent.
+    """
+    if not conn.poll(deadline_s):
+        if proc.is_alive():
+            raise ShardWorkerTimeout(shard_index, epoch, barrier_time,
+                                     deadline_s)
+        raise ShardWorkerCrash(shard_index, epoch, barrier_time,
+                               proc.exitcode)
+    try:
+        return conn.recv()
+    except (EOFError, BrokenPipeError, OSError) as exc:
+        proc.join(timeout=10.0)
+        raise ShardWorkerCrash(shard_index, epoch, barrier_time,
+                               proc.exitcode, cause=repr(exc)) from exc
+
+
+# ----------------------------------------------------------------------
+# the supervising parent
+# ----------------------------------------------------------------------
 
 class _Worker:
     """One live shard worker: its process, pipe and generation."""
@@ -90,7 +203,6 @@ class ShardSupervisor:
         self.backoff_s = 0.0
         # barrier position (for error attribution)
         self.epoch = 0
-        self.epoch_end = 0.0
         self._prev_cpu = [0.0] * plan.k
         # parent-plane telemetry
         self.flight = None
@@ -152,9 +264,9 @@ class ShardSupervisor:
     # -- protocol primitives ----------------------------------------------
     def _await(self, worker: _Worker, deadline_s: float,
                barrier_time: float) -> Any:
-        """One reply through the plain backend's bounded wait
-        (:func:`~repro.shard.executor._recv_deadline`), counted: a
-        *stall* also kills the stalled process before re-raising."""
+        """One reply through the bounded wait (:func:`_recv_deadline`),
+        counted: a *stall* also kills the stalled process before
+        re-raising."""
         try:
             return _recv_deadline(worker.conn, worker.proc,
                                   worker.shard_index, self.epoch,
@@ -171,14 +283,33 @@ class ShardSupervisor:
     def _send(self, shard_index: int, message: Tuple,
               barrier_time: float, upto_epoch: int) -> None:
         """Send with crash-on-send recovery: a broken pipe means the
-        worker died since the last barrier — revive and resend."""
-        try:
-            self.workers[shard_index].conn.send(message)
-            return
-        except (BrokenPipeError, OSError):
-            self.crashes += 1
-        self._revive(shard_index, upto_epoch, "send-failed", barrier_time)
-        self.workers[shard_index].conn.send(message)
+        worker died since the last barrier — revive and resend, as
+        often as the restart budget allows."""
+        while True:
+            try:
+                self.workers[shard_index].conn.send(message)
+                return
+            except (BrokenPipeError, OSError):
+                self.crashes += 1
+            self._revive(shard_index, upto_epoch, "send-failed",
+                         barrier_time)
+
+    def _reply(self, shard_index: int, message: Tuple,
+               barrier_time: float, upto_epoch: int) -> Any:
+        """The worker's reply to ``message`` (already sent): on a crash
+        or stall, revive the shard to barrier ``upto_epoch`` and re-send
+        ``message`` through :meth:`_send`, as often as the restart
+        budget allows."""
+        while True:
+            try:
+                return self._await(self.workers[shard_index],
+                                   self.config.barrier_deadline_s,
+                                   barrier_time)
+            except ShardWorkerError as exc:
+                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
+                          else "crash")
+            self._revive(shard_index, upto_epoch, reason, barrier_time)
+            self._send(shard_index, message, barrier_time, upto_epoch)
 
     # -- restart ladder ----------------------------------------------------
     def _revive(self, shard_index: int, upto_epoch: int, reason: str,
@@ -250,6 +381,8 @@ class ShardSupervisor:
                 replay_span.attrs["mismatches"] = mismatches
             if span is not None:
                 span.finish(barrier_time)
+            # The replacement's CPU clock starts over.
+            self._prev_cpu[shard_index] = 0.0
             return worker
 
     def _revive_dead(self, upto_epoch: int, barrier_time: float) -> None:
@@ -324,19 +457,17 @@ class ShardSupervisor:
         epoch_start = 0.0
         batches: Dict[int, List[Any]] = {}
         for epoch, epoch_end in enumerate(ends):
-            self.epoch, self.epoch_end = epoch, epoch_end
+            self.epoch = epoch
             self._apply_pre_faults(epoch, epoch_end)
             self._revive_dead(epoch, epoch_end)
-            self.journal.record_send(epoch, epoch_end, batches)
-            for shard_index in range(plan.k):
-                self._send(shard_index,
-                           ("epoch", epoch_end,
-                            batches.get(shard_index, [])),
-                           epoch_end, epoch)
+            messages = [("epoch", epoch_end, batch_bytes)
+                        for batch_bytes in self.journal.record_send(
+                            epoch, epoch_end, batches)]
+            for shard_index, message in enumerate(messages):
+                self._send(shard_index, message, epoch_end, epoch)
             t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            replies = [self._barrier_reply(i, epoch_end,
-                                           batches.get(i, []))
-                       for i in range(plan.k)]
+            replies = [self._reply(i, message, epoch_end, epoch)
+                       for i, message in enumerate(messages)]
             epoch_stall = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
             stall_s += epoch_stall
             outboxes = [reply[0] for reply in replies]
@@ -366,16 +497,11 @@ class ShardSupervisor:
         self._revive_dead(len(ends), horizon)
         for shard_index in range(plan.k):
             self._send(shard_index, ("collect",), horizon, len(ends))
-        partials: List[Dict[str, Any]] = []
-        worker_cpu_s: List[float] = []
-        snapshots = []
-        for shard_index in range(plan.k):
-            reply = self._collect_reply(shard_index, horizon, len(ends))
-            partial, cpu_s, snapshot = reply
-            partials.append(partial)
-            worker_cpu_s.append(cpu_s)
-            if snapshot is not None:
-                snapshots.append(snapshot)
+        replies = [self._reply(i, ("collect",), horizon, len(ends))
+                   for i in range(plan.k)]
+        partials = [reply[0] for reply in replies]
+        worker_cpu_s = [reply[1] for reply in replies]
+        snapshots = [reply[2] for reply in replies if reply[2] is not None]
         for worker in self.workers:
             if worker is not None:
                 try:
@@ -404,40 +530,6 @@ class ShardSupervisor:
             stats["obs"] = merged
         return counters, work, stats
 
-    def _barrier_reply(self, shard_index: int, epoch_end: float,
-                       batch: List[Any]) -> Any:
-        """One worker's epoch reply, reviving (and re-sending the epoch
-        message) as many times as the budget allows."""
-        while True:
-            try:
-                return self._await(self.workers[shard_index],
-                                   self.config.barrier_deadline_s,
-                                   epoch_end)
-            except RestartBudgetExhausted:
-                raise
-            except ShardWorkerError as exc:
-                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
-                          else "crash")
-                self._revive(shard_index, self.epoch, reason, epoch_end)
-                self._prev_cpu[shard_index] = 0.0
-                self.workers[shard_index].conn.send(
-                    ("epoch", epoch_end, batch))
-
-    def _collect_reply(self, shard_index: int, horizon: float,
-                       epoch_count: int) -> Any:
-        while True:
-            try:
-                return self._await(self.workers[shard_index],
-                                   self.config.barrier_deadline_s, horizon)
-            except RestartBudgetExhausted:
-                raise
-            except ShardWorkerError as exc:
-                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
-                          else "crash")
-                self._revive(shard_index, epoch_count, reason, horizon)
-                self._prev_cpu[shard_index] = 0.0
-                self.workers[shard_index].conn.send(("collect",))
-
     # -- accounting --------------------------------------------------------
     def recovery_stats(self, degraded: bool = False) -> Dict[str, Any]:
         faults = self.config.faults
@@ -465,14 +557,18 @@ def run_supervised(workload: ShardWorkload, plan: ShardPlan,
                    recovery: Optional[RecoveryConfig] = None
                    ) -> Tuple[Dict[str, Any], Dict[str, int],
                               Dict[str, Any]]:
-    """Execute ``workload`` over ``plan`` with worker supervision.
+    """Execute ``workload`` over ``plan`` on forked, supervised workers
+    — the ``mp`` backend of :func:`~repro.shard.executor.run_sharded`.
 
     Counters and work are byte-identical to the fault-free run (and to
     :func:`~repro.shard.executor.run_single`) even when workers are
     killed or stalled mid-run — crash recovery replays journaled
     handoff history into a replacement replica.  When the restart
-    budget is exhausted the run degrades to the inline oracle:
-    deterministic, flagged ``stats["degraded"] = True``, never a crash.
+    budget is exhausted the run degrades to the inline oracle,
+    flagged ``stats["degraded"] = True``: deterministic, and the same
+    result, or the same workload exception, an inline run gives.
+    ``recovery=None`` supervises with the :class:`RecoveryConfig`
+    defaults.
     """
     config = recovery if recovery is not None else RecoveryConfig()
     try:

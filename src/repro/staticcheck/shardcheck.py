@@ -4,7 +4,7 @@ The per-file linter (:mod:`repro.staticcheck.rules`) can see one module
 at a time; the shard/recovery plane's correctness contract is
 cross-file.  A workload class defined in ``perf/scenarios.py`` is
 pickled in the parent, shipped over a pipe, and rebuilt inside a forked
-worker (``shard/executor.py``); a module-level counter incremented in
+worker (``shard/supervisor.py``); a module-level counter incremented in
 ``substrates/phys/packet.py`` is forked into every worker; an obs
 counter registered in ``obs/facade.py`` is bumped on the supervisor's
 recovery path.  ``shardcheck`` builds the import graph, computes the
@@ -42,10 +42,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .engine import (LintError, iter_python_files, normalize_select,
                      suppressions)
 from .rules import Finding, SHARD_RULES
-
-#: Fallback when the analyzed tree does not define the tuple itself
-#: (kept in sync with :data:`repro.obs.snapshot.DIGEST_EXCLUDED_PREFIXES`).
-_DEFAULT_DIGEST_EXCLUDED = ("repro_shard_", "repro_obs_", "repro_kernel_")
 
 #: Dotted call paths whose return values cannot cross a pickle boundary.
 _UNPICKLABLE_CALLS = frozenset({
@@ -473,10 +469,13 @@ class Program:
                 or name in packages}
 
     def digest_prefixes(self) -> Tuple[str, ...]:
+        """The analyzed tree's ``DIGEST_EXCLUDED_PREFIXES``, or this
+        package's own tuple when the tree defines none."""
         for info in self.modules.values():
             if info.digest_prefixes is not None:
                 return info.digest_prefixes
-        return _DEFAULT_DIGEST_EXCLUDED
+        from ..obs.snapshot import DIGEST_EXCLUDED_PREFIXES
+        return DIGEST_EXCLUDED_PREFIXES
 
     def obs_instrument_map(self) -> Dict[str, str]:
         merged: Dict[str, str] = {}

@@ -8,6 +8,7 @@ lookahead, fallback, stats) is in service of that invariant.
 """
 
 import pickle
+import time
 
 import pytest
 
@@ -213,6 +214,16 @@ class ZeroLatencyWorkload(ShardWorkload):
                               "shuttles": 0}
 
 
+class SleepyWorkload(SHARD_WORKLOADS["shard-scaling"]):
+    """The shard owning node ``(0, 0)`` sleeps 0.4 s of host time
+    mid-run."""
+
+    def setup(self, ctx, owned):
+        super().setup(ctx, owned)
+        if owned is not None and (0, 0) in owned:
+            ctx["sim"].call_at(0.5, time.sleep, 0.4, name="sleep")
+
+
 class TestExecutor:
     def test_zero_lookahead_falls_back_to_single(self):
         counters, work, stats = run_sharded(ZeroLatencyWorkload(), 2)
@@ -246,6 +257,13 @@ class TestExecutor:
         _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="mp")
         assert stats["backend"] == "mp"
         assert stats["barrier_stall_s"] >= 0.0
+
+    def test_inline_worker_cpu_is_process_time(self):
+        """Inline books CPU time per shard, as the mp worker does: a
+        shard that sleeps 0.4 s does not report 0.4 s of work."""
+        _, _, stats = run_sharded(SleepyWorkload(42, "tiny"), 2,
+                                  backend="inline")
+        assert max(stats["worker_cpu_s"]) < 0.3
 
 
 class TestEpochEnds:

@@ -16,15 +16,16 @@ import time
 
 import pytest
 
-from repro.perf.harness import load_results, run_scenario
+from repro.perf.digest import run_digest
+from repro.perf.harness import load_results
 from repro.perf.scenarios import SHARD_WORKLOADS
 from repro.resilience import run_campaign
 from repro.shard import (EpochJournal, Fault, FaultPlan, Handoff,
                          RecoveryConfig, RestartBudgetExhausted,
-                         ShardWorkerCrash, ShardWorkerError,
-                         ShardWorkerTimeout, outbox_digest, run_sharded,
-                         run_single)
-from repro.shard.executor import _recv_deadline
+                         ShardSupervisor, ShardWorkerCrash,
+                         ShardWorkerError, ShardWorkerTimeout,
+                         outbox_digest, run_sharded, run_single)
+from repro.shard.supervisor import _recv_deadline
 
 #: Fast restart ladder for tests — chaos on purpose shouldn't idle.
 FAST = dict(backoff_base_s=0.005, backoff_max_s=0.02)
@@ -114,13 +115,14 @@ class TestDigestIdenticalRecovery:
         assert stats["recovery"]["worker_restarts"] == 2
 
     def test_no_fault_supervised_matches_plain_mp(self):
-        """Supervision is pure overhead when nothing fails: same
-        counters as the unsupervised mp backend, zero restarts."""
+        """Every mp run is supervised, and supervision is pure overhead
+        when nothing fails: the single-shard oracle's counters, zero
+        restarts."""
         cls = SHARD_WORKLOADS["shuttle-storm"]
-        plain, _, _ = run_sharded(cls(42, "tiny"), 2, backend="mp")
-        supervised, _, stats = run_sharded(
-            cls(42, "tiny"), 2, backend="mp", recovery=RecoveryConfig())
-        assert supervised == plain
+        base_counters, base_work = run_single(cls(42, "tiny"))
+        counters, work, stats = run_sharded(cls(42, "tiny"), 2,
+                                            backend="mp")
+        assert (counters, work) == (base_counters, base_work)
         assert stats["supervised"] is True
         assert stats["recovery"]["worker_restarts"] == 0
 
@@ -131,12 +133,14 @@ class TestCommittedBaselineRecovery:
 
     def test_worker_kill_matches_committed_digest(self, repo_baseline):
         entry = repo_baseline["shard-scaling"]
+        seed, scale = entry["seed"], entry["scale"]
         config = _fault_config(Fault("kill", 3, 1))
-        result = run_scenario("shard-scaling", seed=entry["seed"],
-                              scale=entry["scale"], repeats=1,
-                              workers=2, backend="mp", recovery=config)
-        assert result.digest == entry["digest"]
-        assert result.shard_stats["recovery"]["worker_restarts"] == 1
+        counters, _, stats = run_sharded(
+            SHARD_WORKLOADS["shard-scaling"](seed, scale), 2,
+            backend="mp", recovery=config)
+        assert run_digest("shard-scaling", seed, scale, counters) \
+            == entry["digest"]
+        assert stats["recovery"]["worker_restarts"] == 1
 
     @pytest.fixture(scope="class")
     def repo_baseline(self):
@@ -149,6 +153,21 @@ class TestCommittedBaselineRecovery:
 # ----------------------------------------------------------------------
 # degradation: budget exhaustion must not crash
 # ----------------------------------------------------------------------
+
+class BuggyWorkload(SHARD_WORKLOADS["shard-scaling"]):
+    """A worker-side callback that raises: a deterministic failure
+    every replacement repeats.  Never scheduled in the single-shard
+    oracle."""
+
+    def setup(self, ctx, owned):
+        super().setup(ctx, owned)
+        if owned is not None:
+            ctx["sim"].call_at(0.5, self._bug, name="bug")
+
+    @staticmethod
+    def _bug():
+        raise RuntimeError("workload bug")
+
 
 class TestDegradation:
     def test_budget_exhaustion_degrades_to_inline(self):
@@ -192,40 +211,13 @@ class TestDegradation:
         assert stats["degraded"] is True
         assert stats["recovery"]["worker_restarts"] == 2
 
-
-# ----------------------------------------------------------------------
-# typed barrier errors (recovery disabled)
-# ----------------------------------------------------------------------
-
-class ExplodingWorkload(SHARD_WORKLOADS["shard-scaling"]):
-    """A worker that calls ``os._exit`` mid-epoch.
-
-    DANGER: only for the *unsupervised* mp backend.  Under supervision
-    the replacement would explode too, exhaust the budget, and the
-    inline fallback would then run the workload — and its ``os._exit``
-    — in the test process itself.
-    """
-
-    def setup(self, ctx, owned):
-        super().setup(ctx, owned)
-        if owned is not None:   # never in the single-shard oracle
-            ctx["sim"].call_at(0.5, lambda: os._exit(13),
-                               name="explode")
-
-
-class TestTypedBarrierErrors:
-    def test_worker_crash_raises_typed_error(self):
-        with pytest.raises(ShardWorkerCrash) as err:
-            run_sharded(ExplodingWorkload(42, "tiny"), 2, backend="mp")
-        assert err.value.shard_index in (0, 1)
-        assert "inline" in str(err.value)   # points at the repro path
-        # Typed errors still satisfy pre-recovery except clauses.
-        assert isinstance(err.value, RuntimeError)
-        assert isinstance(err.value, ShardWorkerError)
-
-    def test_crash_leaves_no_zombie_workers(self):
-        with pytest.raises(ShardWorkerCrash):
-            run_sharded(ExplodingWorkload(42, "tiny"), 2, backend="mp")
+    def test_deterministic_worker_failure_surfaces_from_inline(self):
+        """A workload bug kills every replacement too: the budget runs
+        out, the run degrades, and the inline re-run raises the bug in
+        the caller.  No worker outlives the run."""
+        with pytest.raises(RuntimeError, match="workload bug"):
+            run_sharded(BuggyWorkload(42, "tiny"), 2, backend="mp",
+                        recovery=RecoveryConfig(**FAST))
         # via: ignore[VIA003] host-side reaping deadline, not sim time
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() \
@@ -233,6 +225,12 @@ class TestTypedBarrierErrors:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
 
+
+# ----------------------------------------------------------------------
+# typed barrier errors
+# ----------------------------------------------------------------------
+
+class TestTypedBarrierErrors:
     def test_recv_deadline_timeout_carries_context(self):
         ctx = multiprocessing.get_context("fork")
         parent, child = ctx.Pipe()
@@ -262,6 +260,10 @@ class TestTypedBarrierErrors:
             with pytest.raises(ShardWorkerCrash) as err:
                 _recv_deadline(parent, proc, 0, 3, 1.0, deadline_s=5.0)
             assert err.value.epoch == 3
+            assert "inline" in str(err.value)   # points at the repro path
+            # Typed errors still satisfy pre-recovery except clauses.
+            assert isinstance(err.value, ShardWorkerError)
+            assert isinstance(err.value, RuntimeError)
         finally:
             parent.close()
             proc.join(timeout=10.0)
@@ -331,6 +333,34 @@ class TestSupervisedReplyWait:
         rec = stats["recovery"]
         assert rec["replayed_epochs"] == 3
         assert rec["partial_digest_mismatches"] == 3
+
+    def test_replacement_dead_before_resend_is_revived(self, monkeypatch):
+        """The first replacement dies between its replay ack and the
+        re-sent epoch message: the re-send revives it again instead of
+        letting the broken pipe escape the run."""
+        revive = ShardSupervisor._revive
+        killed = []
+
+        def revive_then_kill_once(self, *args):
+            worker = revive(self, *args)
+            if not killed:
+                killed.append(worker.shard_index)
+                worker.proc.kill()
+                worker.proc.join(timeout=10.0)
+            return worker
+
+        monkeypatch.setattr(ShardSupervisor, "_revive",
+                            revive_then_kill_once)
+        cls = SHARD_WORKLOADS["shard-scaling"]
+        base_counters, base_work = run_single(cls(42, "tiny"))
+        config = _fault_config(Fault("stall", 1, 0),
+                               barrier_deadline_s=0.3)
+        counters, work, stats = run_sharded(cls(42, "tiny"), 2,
+                                            backend="mp", recovery=config)
+        assert killed == [0]
+        assert (counters, work) == (base_counters, base_work)
+        assert stats["recovery"]["worker_restarts"] == 2
+        assert not stats.get("degraded")
 
 
 # ----------------------------------------------------------------------

@@ -312,11 +312,6 @@ class TestVIA014DigestHygiene:
         # The clean tree registers repro_shard_* — already excluded.
         assert check_tree(tmp_path) == []
 
-    def test_fallback_prefixes_match_the_obs_tuple(self):
-        from repro.obs.snapshot import DIGEST_EXCLUDED_PREFIXES
-        from repro.staticcheck.shardcheck import _DEFAULT_DIGEST_EXCLUDED
-        assert _DEFAULT_DIGEST_EXCLUDED == DIGEST_EXCLUDED_PREFIXES
-
     def test_prefix_tuple_is_read_from_the_analyzed_tree(self, tmp_path):
         findings = check_tree(tmp_path, {
             "pkg/metrics.py": """\
