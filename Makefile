@@ -6,7 +6,7 @@ PYTHON ?= python
 	bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
-	perfbench-check all clean
+	perfbench-check paper-check all clean
 
 install:
 	pip install -e .
@@ -16,6 +16,11 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The paper's own results: every bench under benchmarks/ runs once,
+# untimed, and must regenerate its tables and pass its assertions.
+paper-check:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 examples:
 	@for script in examples/*.py; do \
@@ -167,9 +172,9 @@ chaos-smoke:
 # campaign drives the missed reply deadline through the bounded reply
 # wait, the kill of the stalled process and its replay), then spend
 # the restart budget (the worker-budget-exhausted campaign asserts the
-# run degrades to inline with the same digest; it is where every
-# deterministic worker failure ends).  Recovery must be invisible
-# where determinism is judged.
+# run degrades to inline with the same digest).  A workload exception
+# is not a death: it is raised at once, without a restart.  Recovery
+# must be invisible where determinism is judged.
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-kill \
 		--seed 7

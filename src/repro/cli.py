@@ -122,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--obs-out", metavar="PATH", default=None,
                        help="collect each shard's metrics/spans/profile, "
                             "merge them and write the unified JSONL "
-                            "here (requires exactly one shardable "
-                            "scenario; digest-neutral)")
+                            "here (requires exactly one scenario; "
+                            "digest-neutral)")
     bench.add_argument("--out", metavar="DIR", default=".",
                        help="directory for BENCH_<scenario>.json files")
     bench.add_argument("--combined", metavar="PATH", default=None,
@@ -391,8 +391,8 @@ def cmd_bench(args) -> int:
                        write_results)
 
     if args.list:
-        for name, (_, description) in SCENARIOS.items():
-            print(f"{name:16s} {description}")
+        for name, cls in SCENARIOS.items():
+            print(f"{name:16s} {cls.description}")
         return 0
     names = list(args.scenarios) if args.scenarios else None
     if args.all:
@@ -408,15 +408,10 @@ def cmd_bench(args) -> int:
         print("bench: --workers must be >= 1", file=sys.stderr)
         return 2
     if args.obs_out:
-        from .perf import SHARD_WORKLOADS
-        if names is None or len(names) != 1 \
-                or names[0] not in SHARD_WORKLOADS:
-            shardable = ", ".join(sorted(SHARD_WORKLOADS))
-            print("bench: --obs-out requires exactly one shardable "
-                  f"scenario (shardable: {shardable})", file=sys.stderr)
+        if names is None or len(names) != 1:
+            print("bench: --obs-out requires exactly one scenario",
+                  file=sys.stderr)
             return 2
-
-    if args.obs_out:
         from .perf import run_scenario
         results = [run_scenario(names[0], seed=args.seed,
                                 scale=args.scale, repeats=args.repeats,
@@ -473,18 +468,19 @@ def cmd_bench(args) -> int:
 def cmd_shard(args) -> int:
     import json as _json
 
-    from .perf.scenarios import SHARD_WORKLOADS
+    from .perf.scenarios import SCENARIOS
     from .shard import partition
 
-    if args.scenario not in SHARD_WORKLOADS:
-        known = ", ".join(SHARD_WORKLOADS)
+    cls = SCENARIOS.get(args.scenario)
+    if cls is None or not cls.shardable:
+        known = ", ".join(n for n, c in SCENARIOS.items() if c.shardable)
         print(f"shard: scenario {args.scenario!r} is not shardable "
               f"(shardable: {known})", file=sys.stderr)
         return 2
     if args.workers < 1:
         print("shard: --workers must be >= 1", file=sys.stderr)
         return 2
-    workload = SHARD_WORKLOADS[args.scenario](args.seed, args.scale)
+    workload = cls(args.seed, args.scale)
     plan = partition(workload.topology(), args.workers, seed=args.seed)
     if args.json:
         print(_json.dumps(plan.to_dict(), indent=2, sort_keys=True,

@@ -13,10 +13,10 @@ from __future__ import annotations
 from .digest import canonical_digest, run_digest
 from .harness import (BenchResult, compare, load_results, run_all,
                       run_scenario, write_results)
-from .scenarios import SCENARIOS, SHARD_WORKLOADS
+from .scenarios import SCENARIOS, Scenario
 
 __all__ = [
-    "BenchResult", "SCENARIOS", "SHARD_WORKLOADS", "run_scenario",
+    "BenchResult", "SCENARIOS", "Scenario", "run_scenario",
     "run_all", "compare", "write_results", "load_results",
     "run_digest", "canonical_digest",
 ]

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..shard.executor import run_sharded
 from .digest import run_digest
-from .scenarios import SCENARIOS, SHARD_WORKLOADS
+from .scenarios import SCENARIOS
 
 #: Schema version of the BENCH_*.json files.  Version 2 added
 #: ``wall_times_s`` (per-repeat wall clocks), ``workers``/``backend``
@@ -114,33 +114,23 @@ class BenchResult:
 # running
 # ----------------------------------------------------------------------
 
-def _require_shardable(name: str) -> None:
-    if name not in SHARD_WORKLOADS:
-        shardable = ", ".join(sorted(SHARD_WORKLOADS))
-        raise ValueError(
-            f"obs collection requires a shardable scenario "
-            f"(known: {shardable}); {name!r} is not one")
-
-
 def run_scenario(name: str, seed: int = 42, scale: str = "short",
                  repeats: int = 1, workers: int = 1,
                  backend: str = "inline", obs: bool = False
                  ) -> BenchResult:
     """Run one scenario; wall time is the best of ``repeats`` passes.
 
-    ``workers > 1`` executes the scenario partitioned over shards
-    (``backend`` is ``inline`` or ``mp``) when it has a registered
-    :data:`~repro.perf.scenarios.SHARD_WORKLOADS` entry; any other
-    scenario silently falls back to the single-shard path, whose
-    counters are worker-invariant by construction.  The digest never
-    depends on ``workers``.
+    Every scenario runs through :func:`~repro.shard.executor.
+    run_sharded`.  ``workers > 1`` partitions a ``shardable`` scenario
+    over shards (``backend`` is ``inline`` or ``mp``); any other
+    scenario runs as one replica, whose counters are worker-invariant
+    by construction.  The digest never depends on ``workers``.
 
-    ``obs=True`` collects the distributed telemetry plane: the merged
-    :class:`~repro.obs.snapshot.MergedObs` lands on the result's
-    ``obs`` attribute (never in BENCH JSON).  Requires a shardable
-    scenario — at ``workers=1`` the executor's single-shard fallback
-    still produces a (K=1) merged view.  Telemetry is digest-neutral:
-    counters stay byte-identical to an obs-off run.
+    ``obs=True`` collects the telemetry plane of any scenario: the
+    merged :class:`~repro.obs.snapshot.MergedObs` lands on the result's
+    ``obs`` attribute (never in BENCH JSON); a single replica gives a
+    K=1 merged view.  Telemetry is digest-neutral: counters stay
+    byte-identical to an obs-off run.
 
     The ``mp`` backend always supervises its workers; the supervisor's
     accounting lands in ``shard_stats["recovery"]``.
@@ -150,7 +140,7 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
     than averaged away.
     """
     try:
-        fn, _ = SCENARIOS[name]
+        cls = SCENARIOS[name]
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
         raise KeyError(f"unknown scenario {name!r} (known: {known})")
@@ -158,25 +148,19 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
         raise ValueError("repeats must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if obs:
-        _require_shardable(name)
-    sharded = (workers > 1 or obs) and name in SHARD_WORKLOADS
+    k = workers if cls.shardable else 1
     wall_times: List[float] = []
     counters = work = None
-    shard_stats = None
+    shard_stats: Dict[str, Any] = {}
     merged_obs = None
     for _ in range(repeats):
         t0 = time.perf_counter()  # via: ignore[VIA003] host wall time
-        if sharded:
-            workload = SHARD_WORKLOADS[name](seed, scale)
-            pass_counters, pass_work, shard_stats = run_sharded(
-                workload, workers, backend=backend, obs=obs)
-            # The MergedObs object must never leak into BENCH JSON —
-            # pop it off the (serialized) stats dict.
-            merged_obs = shard_stats.pop("obs", None) or merged_obs
-        else:
-            pass_counters, pass_work = fn(seed, scale)
+        pass_counters, pass_work, shard_stats = run_sharded(
+            cls(seed, scale), k, backend=backend, obs=obs)
         elapsed = time.perf_counter() - t0  # via: ignore[VIA003] host wall time
+        # The MergedObs object must never leak into BENCH JSON — pop it
+        # off the (serialized) stats dict.
+        merged_obs = shard_stats.pop("obs", None) or merged_obs
         if counters is not None and pass_counters != counters:
             raise RuntimeError(
                 f"scenario {name!r} is not repeatable at seed={seed} "
@@ -185,9 +169,9 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
         wall_times.append(elapsed)
     result = BenchResult(name, seed, scale, repeats,
                          min(wall_times), counters, work,
-                         wall_times_s=wall_times,
-                         workers=workers if sharded else 1,
-                         backend=backend, shard_stats=shard_stats)
+                         wall_times_s=wall_times, workers=k,
+                         backend=backend,
+                         shard_stats=shard_stats if k > 1 else None)
     result.obs = merged_obs
     return result
 
@@ -203,7 +187,7 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
     * ``"self"`` — the identical run again (a clean environment must
       produce byte-identical tapes);
     * ``"obs"``  — telemetry collection on (observability must never
-      draw); needs a shardable scenario.
+      draw).
 
     ``inject`` (an :class:`repro.sanitize.Injection`) perturbs one draw
     of run B, planting a divergence the diff must localize.  Returns a
@@ -215,8 +199,6 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
     if against not in ("self", "obs"):
         raise ValueError(f"unknown sanitize comparison {against!r} "
                          f"(known: self, obs)")
-    if against == "obs":
-        _require_shardable(name)
     with taped() as tape_a:
         result_a = run_scenario(name, seed=seed, scale=scale)
     with taped(inject=inject) as tape_b:

@@ -1,7 +1,8 @@
 """The standard benchmark scenario suite.
 
-Each scenario is a seeded, self-contained workload that stresses one
-hot plane of the stack and returns only deterministic quantities:
+Each scenario is a :class:`Scenario`: a seeded, self-contained workload
+that stresses one hot plane of the stack and reports only deterministic
+quantities:
 
 ========================  ==================================================
 ``event-loop``            pure kernel churn: timer chains + lazy
@@ -16,56 +17,53 @@ hot plane of the stack and returns only deterministic quantities:
                           one ship (the verdict-memo hot path)
 ``nomadic``               a nomadic user firing task capsules while
                           walking a route (end-to-end workload plane)
+``audit-sweep``           periodic integrity digests over slowly-changing
+                          stores (the digest-cache hot path)
+``shard-scaling``         admission-heavy quanta pumped node to node (the
+                          partitioned-execution macro-benchmark)
 ========================  ==================================================
 
-Scenario functions never read wall clocks or host state; the harness
-times them from outside.  The dict a scenario returns becomes the
-``counters`` block of its ``BENCH_<scenario>.json`` and is folded into
-the run digest, so everything in it must be machine-independent and a
+Every scenario follows the one protocol of
+:class:`~repro.shard.executor.ShardWorkload` — build, setup, drive,
+collect, finalize — and :data:`SCENARIOS` (name -> class) is the only
+registry.  Scenarios never read wall clocks or host state; the harness
+times them from outside.  The counters a scenario finalizes become the
+``counters`` block of its ``BENCH_<scenario>.json`` and are folded into
+the run digest, so everything in them must be machine-independent and a
 pure function of ``(seed, scale)``.
 
 Scales: ``tiny`` (unit tests), ``short`` (CI smoke), ``medium`` (the
 shard-scaling measurements), ``full`` (the committed trajectory
 numbers).
 
-Sharding: scenarios listed in :data:`SHARD_WORKLOADS` also exist as
-:class:`~repro.shard.executor.ShardWorkload` classes and can execute
-partitioned over worker shards (``repro bench --workers K``) with
-byte-identical digests; everything else falls back to the single-shard
-path regardless of ``--workers``.
+Sharding: a scenario with ``shardable = True`` can execute partitioned
+over worker shards (``repro bench --workers K``) with byte-identical
+digests; every other scenario runs as one replica regardless of
+``--workers``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Optional, Tuple
+import hashlib
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Tuple
 
-from ..shard.executor import ShardWorkload, run_single, shard_fabric_factory
+from ..shard.executor import ShardWorkload, shard_fabric_factory
 from .digest import round_floats
 
-#: scale -> multiplier applied to each scenario's base workload knobs.
 SCALES = ("tiny", "short", "medium", "full")
+#: roles the shuttle traffic acquires (all in the default catalog).
+ROLES = ("fn.caching", "fn.filtering", "fn.transcoding", "fn.fusion")
 
-
-def _scale_params(scale: str, tiny: Dict[str, Any], short: Dict[str, Any],
-                  full: Dict[str, Any],
-                  medium: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    if scale == "tiny":
-        return tiny
-    if scale == "short":
-        return short
-    if scale == "medium":
-        # Scenarios without an explicit medium sit at the CI size.
-        return medium if medium is not None else short
-    if scale == "full":
-        return full
-    raise ValueError(f"unknown scale {scale!r} (known: {SCALES})")
+Owned = Optional[FrozenSet[Hashable]]
+#: a finalized run: ``(counters, work)``.
+Result = Tuple[Dict[str, Any], Dict[str, int]]
 
 
 def _quiet_wn(seed: int, rows: int, cols: int, loss_rate: float = 0.0,
               fabric_factory=None, latency: float = 0.01):
     """A grid WN with the autopoietic loop parked far beyond the run,
-    so the scenario's own traffic is the only event source (the same
-    recipe the chaos campaigns use for exact accounting)."""
+    so the scenario's own traffic is the only event source (the chaos
+    campaigns build their networks here too, for exact accounting)."""
     from ..core.wandering_network import (WanderingNetwork,
                                           WanderingNetworkConfig)
     from ..substrates.phys import grid_topology
@@ -79,85 +77,122 @@ def _quiet_wn(seed: int, rows: int, cols: int, loss_rate: float = 0.0,
                             config, fabric_factory=fabric_factory)
 
 
+class Scenario(ShardWorkload):
+    """One benchmark scenario: a size per scale plus the shard protocol.
+
+    ``SIZES`` maps each scale to the scenario's knobs; :attr:`p` holds
+    the chosen one (a scenario without a ``medium`` size runs it at
+    ``short``).  A scenario sets ``shardable`` only when every counter
+    it reports is a sum over owned ships that no same-time tie can move
+    (see :class:`_GridScenario`); every other scenario runs as one
+    replica and may report whatever it likes, such as
+    ``peak_agenda_depth``.
+    """
+
+    description = ""
+    shardable = False
+    SIZES: Dict[str, Dict[str, Any]] = {}
+    __slots__ = ("p",)
+
+    def __init__(self, seed: int, scale: str):
+        super().__init__(seed, scale)
+        if scale not in SCALES:
+            raise ValueError(f"unknown scale {scale!r} (known: {SCALES})")
+        if scale == "medium" and "medium" not in self.SIZES:
+            scale = "short"
+        self.p = self.SIZES[scale]
+
+
 # ----------------------------------------------------------------------
 # event-loop: kernel churn
 # ----------------------------------------------------------------------
 
-def scenario_event_loop(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                        Dict[str, Any]]:
+class EventLoop(Scenario):
     """Timer chains plus lazy cancellations: the bare agenda loop.
 
     ``chains`` self-rescheduling callbacks hop forward with jittered
     delays; every few hops a chain schedules a decoy event and cancels
     it, so the lazy-cancellation purge is on the hot path too.
     """
-    from ..substrates.sim import Simulator
-    p = _scale_params(
-        scale,
-        tiny={"chains": 8, "hops": 50},
-        short={"chains": 32, "hops": 400},
-        medium={"chains": 48, "hops": 1200},
-        full={"chains": 64, "hops": 4000})
-    sim = Simulator(seed=seed)
-    rng = sim.rng.stream("perf.event_loop")
-    cancelled = 0
 
-    def hop(chain: int, remaining: int) -> None:
-        nonlocal cancelled
-        if remaining <= 0:
-            return
-        delay = 0.001 + rng.uniform(0.0, 0.01)
-        sim.call_in(delay, hop, chain, remaining - 1, name="bench-hop")
-        if remaining % 4 == 0:
-            decoy = sim.schedule(delay + 1.0, name="bench-decoy")
-            decoy.cancel()
-            cancelled += 1
+    name = "event-loop"
+    description = "kernel churn: timer chains + lazy cancellations"
+    SIZES = {"tiny": {"chains": 8, "hops": 50},
+             "short": {"chains": 32, "hops": 400},
+             "medium": {"chains": 48, "hops": 1200},
+             "full": {"chains": 64, "hops": 4000}}
+    __slots__ = ()
 
-    for chain in range(p["chains"]):
-        sim.call_in(0.001 * (chain + 1), hop, chain, p["hops"],
-                    name="bench-hop")
-    sim.run()
-    counters = {
-        "events_executed": sim.events_executed,
-        "cancelled": cancelled,
-        "final_time": round(sim.now, 9),
-        "peak_agenda_depth": sim.peak_agenda_depth,
-    }
-    work = {"events": sim.events_executed, "shuttles": 0}
-    return counters, work
+    def horizon(self) -> None:
+        return None          # run until the agenda is empty
+
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
+        from ..substrates.sim import Simulator
+        return {"sim": Simulator(seed=self.seed)}
+
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
+        sim = ctx["sim"]
+        rng = sim.rng.stream("perf.event_loop")
+        ctx["cancelled"] = 0
+
+        def hop(chain: int, remaining: int) -> None:
+            if remaining <= 0:
+                return
+            delay = 0.001 + rng.uniform(0.0, 0.01)
+            sim.call_in(delay, hop, chain, remaining - 1, name="bench-hop")
+            if remaining % 4 == 0:
+                decoy = sim.schedule(delay + 1.0, name="bench-decoy")
+                decoy.cancel()
+                ctx["cancelled"] += 1
+
+        for chain in range(self.p["chains"]):
+            sim.call_in(0.001 * (chain + 1), hop, chain, self.p["hops"],
+                        name="bench-hop")
+
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
+        sim = ctx["sim"]
+        return {
+            "events_executed": sim.events_executed,
+            "cancelled": ctx["cancelled"],
+            "final_time": round(sim.now, 9),
+            "peak_agenda_depth": sim.peak_agenda_depth,
+        }
+
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        return totals, {"events": totals["events_executed"], "shuttles": 0}
 
 
 # ----------------------------------------------------------------------
-# shard workloads: the scenarios that also run partitioned
+# grid scenarios: the ones that also run partitioned
 # ----------------------------------------------------------------------
-#
-# The three workloads below are written *order-invariant*: every
-# counter they emit is a sum over completed traffic (the horizon
-# includes a drain tail long past the last send, so sent == processed
-# regardless of how equal-timestamp events interleave), hop counts
-# come from the static router, and ``final_time`` is the horizon
-# itself.  That is what makes the K-shard digest equal the single-
-# shard digest byte for byte: the conservative epoch executor
-# preserves every event's *time* exactly, while same-time tie-breaks
-# may differ — so nothing digest-visible may depend on them.
-# ``peak_agenda_depth`` is the one kernel counter that is genuinely
-# tie-order- and partition-dependent, which is why these scenarios do
-# not report it.
 
-class _GridShardWorkload(ShardWorkload):
-    """Shared plumbing: a quiet grid WN replica per shard."""
+class _GridScenario(Scenario):
+    """A quiet grid WN replica per shard, and order-invariant counters.
 
+    Every counter a grid scenario reports is a sum over completed
+    traffic (the horizon includes a drain tail long past the last send,
+    so sent == processed regardless of how equal-timestamp events
+    interleave), hop counts come from the static router, and
+    ``final_time`` is the horizon itself.  That is what makes the
+    K-shard digest equal the single-shard digest byte for byte: the
+    conservative epoch executor preserves every event's *time* exactly,
+    while same-time tie-breaks may differ — so nothing digest-visible
+    may depend on them.  ``peak_agenda_depth`` is the one kernel counter
+    that is genuinely tie-order- and partition-dependent, which is why
+    grid scenarios do not report it.
+    """
+
+    shardable = True
     #: link latency of the benchmark grid (drives the shard lookahead).
     latency = 0.01
-    __slots__ = ("p",)
+    __slots__ = ()
 
     def topology(self):
         from ..substrates.phys import grid_topology
         return grid_topology(self.p["rows"], self.p["cols"],
                              latency=self.latency)
 
-    def build(self, owned: Optional[FrozenSet[Hashable]] = None
-              ) -> Dict[str, Any]:
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
         wn = _quiet_wn(self.seed, self.p["rows"], self.p["cols"],
                        fabric_factory=shard_fabric_factory(owned),
                        latency=self.latency)
@@ -169,8 +204,14 @@ class _GridShardWorkload(ShardWorkload):
             return list(wn.ships.values())
         return [wn.ships[node] for node in owned]
 
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        counters = dict(totals, final_time=round(self.horizon(), 9))
+        work = {"events": totals["events_executed"],
+                "shuttles": totals["processed"]}
+        return counters, work
 
-class ShuttleStormWorkload(_GridShardWorkload):
+
+class ShuttleStorm(_GridScenario):
     """A storm of role shuttles cloned from a few templates.
 
     Each of the four source ships runs its own driver on its own RNG
@@ -182,29 +223,23 @@ class ShuttleStormWorkload(_GridShardWorkload):
     """
 
     name = "shuttle-storm"
+    description = "role-shuttle clones docking across a quiet grid"
+    SIZES = {"tiny": {"rows": 2, "cols": 2, "per_source": 10},
+             "short": {"rows": 3, "cols": 3, "per_source": 100},
+             "medium": {"rows": 4, "cols": 5, "per_source": 400},
+             "full": {"rows": 5, "cols": 5, "per_source": 1000}}
     __slots__ = ()
-    roles = ("fn.caching", "fn.filtering", "fn.transcoding", "fn.fusion")
-
-    def __init__(self, seed: int, scale: str):
-        super().__init__(seed, scale)
-        self.p = _scale_params(
-            scale,
-            tiny={"rows": 2, "cols": 2, "per_source": 10},
-            short={"rows": 3, "cols": 3, "per_source": 100},
-            medium={"rows": 4, "cols": 5, "per_source": 400},
-            full={"rows": 5, "cols": 5, "per_source": 1000})
 
     def horizon(self) -> float:
         # Last send at 0.05 * per_source, then a drain tail so every
         # shuttle in flight docks before the clock stops.
         return round(0.05 * (self.p["per_source"] + 4) + 2.0, 9)
 
-    def setup(self, ctx: Dict[str, Any],
-              owned: Optional[FrozenSet[Hashable]]) -> None:
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
         wn = ctx["wn"]
         nodes = sorted(wn.ships, key=repr)
-        ctx["sent"] = [0] * len(self.roles)
-        for index, role in enumerate(self.roles):
+        ctx["sent"] = [0] * len(ROLES)
+        for index, role in enumerate(ROLES):
             src = nodes[index % len(nodes)]
             if owned is None or src in owned:
                 self._install(ctx, wn, nodes, index, role, src)
@@ -235,8 +270,7 @@ class ShuttleStormWorkload(_GridShardWorkload):
 
         task = sim.every(0.05, blast)
 
-    def collect(self, ctx: Dict[str, Any],
-                owned: Optional[FrozenSet[Hashable]]) -> Dict[str, Any]:
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
         ships = self._ships(ctx, owned)
         return {
             "sent": sum(ctx["sent"]),
@@ -245,31 +279,8 @@ class ShuttleStormWorkload(_GridShardWorkload):
             "events_executed": ctx["sim"].events_executed,
         }
 
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "sent": totals["sent"],
-            "processed": totals["processed"],
-            "rejected": totals["rejected"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
 
-
-def scenario_shuttle_storm(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                           Dict[str, Any]]:
-    """Single-shard entry point for :class:`ShuttleStormWorkload`."""
-    return run_single(ShuttleStormWorkload(seed, scale))
-
-
-# ----------------------------------------------------------------------
-# jet-flood: replication plane
-# ----------------------------------------------------------------------
-
-class JetFloodWorkload(_GridShardWorkload):
+class JetFlood(_GridScenario):
     """Waves of self-replicating jets sweeping a grid.
 
     A wave launches at its origin ship only in the shard owning that
@@ -279,23 +290,18 @@ class JetFloodWorkload(_GridShardWorkload):
     """
 
     name = "jet-flood"
+    description = "self-replicating jets sweeping the grid"
+    SIZES = {"tiny": {"rows": 3, "cols": 3, "waves": 3, "budget": 8},
+             "short": {"rows": 4, "cols": 4, "waves": 12, "budget": 24},
+             "medium": {"rows": 5, "cols": 5, "waves": 30, "budget": 36},
+             "full": {"rows": 6, "cols": 6, "waves": 60, "budget": 48}}
     __slots__ = ()
-
-    def __init__(self, seed: int, scale: str):
-        super().__init__(seed, scale)
-        self.p = _scale_params(
-            scale,
-            tiny={"rows": 3, "cols": 3, "waves": 3, "budget": 8},
-            short={"rows": 4, "cols": 4, "waves": 12, "budget": 24},
-            medium={"rows": 5, "cols": 5, "waves": 30, "budget": 36},
-            full={"rows": 6, "cols": 6, "waves": 60, "budget": 48})
 
     def horizon(self) -> float:
         # Waves land every 0.5; the 10-unit tail drains the last flood.
         return round(0.5 * (self.p["waves"] + 20), 9)
 
-    def setup(self, ctx: Dict[str, Any],
-              owned: Optional[FrozenSet[Hashable]]) -> None:
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
         wn, sim = ctx["wn"], ctx["sim"]
         nodes = sorted(wn.ships, key=repr)
         ctx["launched"] = [0]
@@ -319,8 +325,7 @@ class JetFloodWorkload(_GridShardWorkload):
                 sim.call_in(0.5 * (wave + 1), launch, wave,
                             name="bench-jet")
 
-    def collect(self, ctx: Dict[str, Any],
-                owned: Optional[FrozenSet[Hashable]]) -> Dict[str, Any]:
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
         ships = self._ships(ctx, owned)
         return {
             "launched": ctx["launched"][0],
@@ -329,31 +334,8 @@ class JetFloodWorkload(_GridShardWorkload):
             "events_executed": ctx["sim"].events_executed,
         }
 
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "launched": totals["launched"],
-            "replicated": totals["replicated"],
-            "processed": totals["processed"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
 
-
-def scenario_jet_flood(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                       Dict[str, Any]]:
-    """Single-shard entry point for :class:`JetFloodWorkload`."""
-    return run_single(JetFloodWorkload(seed, scale))
-
-
-# ----------------------------------------------------------------------
-# shard-scaling: the partitioned-execution macro-benchmark
-# ----------------------------------------------------------------------
-
-class ShardScalingWorkload(_GridShardWorkload):
+class ShardScaling(_GridScenario):
     """Every node pumps admission-heavy quanta at its ring successor.
 
     Designed to *scale*: work is spread evenly over all nodes (one
@@ -367,23 +349,20 @@ class ShardScalingWorkload(_GridShardWorkload):
     """
 
     name = "shard-scaling"
+    description = ("admission-heavy quanta pumped node-to-node; the "
+                   "partitioned-execution macro-benchmark")
+    SIZES = {"tiny": {"rows": 2, "cols": 2, "per_node": 6, "facts": 8},
+             "short": {"rows": 3, "cols": 3, "per_node": 40, "facts": 16},
+             "medium": {"rows": 4, "cols": 5, "per_node": 220,
+                        "facts": 24},
+             "full": {"rows": 6, "cols": 6, "per_node": 600, "facts": 24}}
     __slots__ = ()
     latency = 0.05
-
-    def __init__(self, seed: int, scale: str):
-        super().__init__(seed, scale)
-        self.p = _scale_params(
-            scale,
-            tiny={"rows": 2, "cols": 2, "per_node": 6, "facts": 8},
-            short={"rows": 3, "cols": 3, "per_node": 40, "facts": 16},
-            medium={"rows": 4, "cols": 5, "per_node": 220, "facts": 24},
-            full={"rows": 6, "cols": 6, "per_node": 600, "facts": 24})
 
     def horizon(self) -> float:
         return round(0.1 * (self.p["per_node"] + 4) + 2.0, 9)
 
-    def setup(self, ctx: Dict[str, Any],
-              owned: Optional[FrozenSet[Hashable]]) -> None:
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
         wn = ctx["wn"]
         nodes = sorted(wn.ships, key=repr)
         ctx["sent"] = [0] * len(nodes)
@@ -421,8 +400,7 @@ class ShardScalingWorkload(_GridShardWorkload):
 
         task = sim.every(0.1, pump)
 
-    def collect(self, ctx: Dict[str, Any],
-                owned: Optional[FrozenSet[Hashable]]) -> Dict[str, Any]:
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
         ships = self._ships(ctx, owned)
         return {
             "sent": sum(ctx["sent"]),
@@ -432,33 +410,12 @@ class ShardScalingWorkload(_GridShardWorkload):
             "events_executed": ctx["sim"].events_executed,
         }
 
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "sent": totals["sent"],
-            "processed": totals["processed"],
-            "rejected": totals["rejected"],
-            "facts": totals["facts"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
-
-
-def scenario_shard_scaling(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                           Dict[str, Any]]:
-    """Single-shard entry point for :class:`ShardScalingWorkload`."""
-    return run_single(ShardScalingWorkload(seed, scale))
-
 
 # ----------------------------------------------------------------------
 # arq-storm: reliable transport under loss
 # ----------------------------------------------------------------------
 
-def scenario_arq_storm(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                       Dict[str, Any]]:
+class ArqStorm(Scenario):
     """Reliable role delivery over a lossy fabric.
 
     Every send stores a frozen template; each attempt transmits a fresh
@@ -466,72 +423,82 @@ def scenario_arq_storm(seed: int, scale: str) -> Tuple[Dict[str, Any],
     optimizes.  The drain runs past the worst-case backoff so every
     delivery resolves (``delivered + dlq == sent`` holds).
     """
-    from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP,
-                                Directive, Shuttle)
-    from ..resilience.arq import ReliableTransport
-    p = _scale_params(
-        scale,
-        tiny={"rows": 2, "cols": 2, "sends": 30, "loss": 0.15},
-        short={"rows": 3, "cols": 3, "sends": 200, "loss": 0.15},
-        medium={"rows": 3, "cols": 4, "sends": 600, "loss": 0.15},
-        full={"rows": 4, "cols": 4, "sends": 1500, "loss": 0.15})
-    wn = _quiet_wn(seed, p["rows"], p["cols"], loss_rate=p["loss"])
-    sim = wn.sim
-    transport = ReliableTransport(sim, wn.ships, base_timeout=0.5,
-                                  max_timeout=4.0, max_attempts=5,
-                                  jitter=0.25)
-    nodes = sorted(wn.ships, key=repr)
-    roles = ("fn.caching", "fn.filtering", "fn.transcoding", "fn.fusion")
-    rng = sim.rng.stream("perf.arq_storm")
-    sent = 0
 
-    def send_one() -> None:
-        nonlocal sent
-        if sent >= p["sends"]:
-            task.stop()
-            return
-        src = nodes[rng.randrange(len(nodes))]
-        dst = src
-        while dst == src:
-            dst = nodes[rng.randrange(len(nodes))]
-        role = roles[sent % len(roles)]
-        shuttle = Shuttle(src, dst,
-                          directives=[
-                              Directive(OP_ACQUIRE_ROLE, role_id=role),
-                              Directive(OP_SET_NEXT_STEP, role_id=role)],
-                          credential=wn.credential,
-                          interface=wn.ships[src].interface)
-        transport.send(src, shuttle)
-        sent += 1
+    name = "arq-storm"
+    description = "reliable transport retransmitting over a lossy fabric"
+    SIZES = {"tiny": {"rows": 2, "cols": 2, "sends": 30, "loss": 0.15},
+             "short": {"rows": 3, "cols": 3, "sends": 200, "loss": 0.15},
+             "medium": {"rows": 3, "cols": 4, "sends": 600, "loss": 0.15},
+             "full": {"rows": 4, "cols": 4, "sends": 1500, "loss": 0.15}}
+    __slots__ = ()
 
-    task = sim.every(0.1, send_one)
-    sim.run(until=0.1 * (p["sends"] + 4))
-    # Drain: worst-case backoff chain, then finalize the stragglers.
-    sim.run(until=sim.now + 5 * 4.0 * 1.25 + 5.0)
-    transport.finalize()
-    duplicates = sum(s.duplicate_shuttles for s in wn.ships.values())
-    counters = {
-        "sent": transport.sent,
-        "delivered": transport.delivered,
-        "retries": transport.retries,
-        "dlq": len(transport.dlq),
-        "duplicates": duplicates,
-        "mean_latency": round(transport.mean_latency, 9),
-        "events_executed": sim.events_executed,
-        "final_time": round(sim.now, 9),
-        "peak_agenda_depth": sim.peak_agenda_depth,
-    }
-    work = {"events": sim.events_executed,
-            "shuttles": transport.delivered + transport.retries}
-    return counters, work
+    def horizon(self) -> float:
+        # The sends, then the worst-case backoff chain (5 attempts of at
+        # most 4 s, 25 % jitter) plus a margin.
+        return 0.1 * (self.p["sends"] + 4) + 5 * 4.0 * 1.25 + 5.0
+
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
+        wn = _quiet_wn(self.seed, self.p["rows"], self.p["cols"],
+                       loss_rate=self.p["loss"])
+        return {"wn": wn, "sim": wn.sim}
+
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
+        from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP,
+                                    Directive, Shuttle)
+        from ..resilience.arq import ReliableTransport
+        wn, sim = ctx["wn"], ctx["sim"]
+        transport = ctx["transport"] = ReliableTransport(
+            sim, wn.ships, base_timeout=0.5, max_timeout=4.0,
+            max_attempts=5, jitter=0.25)
+        nodes = sorted(wn.ships, key=repr)
+        rng = sim.rng.stream("perf.arq_storm")
+        sends = self.p["sends"]
+
+        def send_one() -> None:
+            if transport.sent >= sends:
+                task.stop()
+                return
+            src = nodes[rng.randrange(len(nodes))]
+            dst = src
+            while dst == src:
+                dst = nodes[rng.randrange(len(nodes))]
+            role = ROLES[transport.sent % len(ROLES)]
+            shuttle = Shuttle(src, dst,
+                              directives=[
+                                  Directive(OP_ACQUIRE_ROLE, role_id=role),
+                                  Directive(OP_SET_NEXT_STEP, role_id=role)],
+                              credential=wn.credential,
+                              interface=wn.ships[src].interface)
+            transport.send(src, shuttle)
+
+        task = sim.every(0.1, send_one)
+
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
+        wn, sim, transport = ctx["wn"], ctx["sim"], ctx["transport"]
+        transport.finalize()
+        return {
+            "sent": transport.sent,
+            "delivered": transport.delivered,
+            "retries": transport.retries,
+            "dlq": len(transport.dlq),
+            "duplicates": sum(s.duplicate_shuttles
+                              for s in wn.ships.values()),
+            "mean_latency": round(transport.mean_latency, 9),
+            "events_executed": sim.events_executed,
+            "final_time": round(sim.now, 9),
+            "peak_agenda_depth": sim.peak_agenda_depth,
+        }
+
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        return totals, {"events": totals["events_executed"],
+                        "shuttles": totals["delivered"] + totals["retries"]}
 
 
 # ----------------------------------------------------------------------
 # admission-dock: the verdict-memo hot path
 # ----------------------------------------------------------------------
 
-def scenario_admission_dock(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                            Dict[str, Any]]:
+class AdmissionDock(Scenario):
     """Repeated docking of payload-identical clones at one ship.
 
     The dominant cost is the static admission vet of the same few
@@ -545,126 +512,159 @@ def scenario_admission_dock(seed: int, scale: str) -> Tuple[Dict[str, Any],
     of the digest: they legitimately differ with the memo on vs. off;
     verdict outcomes may not.
     """
-    from ..core.knowledge import KnowledgeQuantum
-    from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_DEPLOY_QUANTUM,
-                                OP_SET_NEXT_STEP, Directive, Shuttle)
-    from ..functions import (CachingRole, CombiningRole, DelegationRole,
-                             FilteringRole, FusionRole, TranscodingRole)
-    p = _scale_params(
-        scale,
-        tiny={"docks": 60},
-        short={"docks": 600},
-        medium={"docks": 2000},
-        full={"docks": 6000})
-    wn = _quiet_wn(seed, 1, 2)
-    sim = wn.sim
-    nodes = sorted(wn.ships, key=repr)
-    src, dst = nodes[0], nodes[1]
-    ship = wn.ships[dst]
-    role_classes = (CachingRole, FilteringRole, FusionRole,
-                    DelegationRole, CombiningRole, TranscodingRole)
-    templates = []
-    for honest_role in (CachingRole, FilteringRole):
-        templates.append(Shuttle(
-            src, dst,
-            directives=[
-                Directive(OP_ACQUIRE_ROLE, role_id=honest_role.role_id),
-                Directive(OP_SET_NEXT_STEP, role_id=honest_role.role_id)],
-            credential=wn.credential,
-            interface=ship.interface).freeze_cargo())
-    for start in range(4):
-        quantum = KnowledgeQuantum(
-            f"bench.kq{start}",
-            [{"fact_class": "bench-fact", "value": f"v{start}-{i}",
-              "weight": 1.0} for i in range(12)])
-        poison = Shuttle(
-            src, dst,
-            directives=[Directive(OP_ACQUIRE_ROLE,
-                                  role_id=role_cls.role_id,
-                                  module=role_cls.code_module())
-                        for role_cls in role_classes[start:start + 5]]
-                       + [Directive(OP_DEPLOY_QUANTUM, quantum=quantum)],
-            credential=wn.credential, interface=ship.interface)
-        poison.meta["manifest"] = ("install-code",)   # forged en route
-        poison.freeze_cargo()
-        templates.append(poison)
-    docked = 0
 
-    def dock() -> None:
-        nonlocal docked
-        if docked >= p["docks"]:
-            task.stop()
-            return
-        shuttle = templates[docked % len(templates)].clone()
-        shuttle.created_at = sim.now
-        ship.process_shuttle(shuttle, from_node=src)
-        docked += 1
+    name = "admission-dock"
+    description = "payload-identical clones through the admission gate"
+    SIZES = {"tiny": {"docks": 60}, "short": {"docks": 600},
+             "medium": {"docks": 2000}, "full": {"docks": 6000}}
+    __slots__ = ()
 
-    task = sim.every(0.01, dock)
-    sim.run(until=0.01 * (p["docks"] + 4))
-    counters = {
-        "docked": docked,
-        "processed": ship.shuttles_processed,
-        "rejected": ship.shuttles_rejected,
-        "admission_rejected": ship.shuttles_admission_rejected,
-        "events_executed": sim.events_executed,
-        "final_time": round(sim.now, 9),
-        "peak_agenda_depth": sim.peak_agenda_depth,
-    }
-    work = {"events": sim.events_executed, "shuttles": docked}
-    return counters, work
+    def horizon(self) -> float:
+        return 0.01 * (self.p["docks"] + 4)
+
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
+        wn = _quiet_wn(self.seed, 1, 2)
+        return {"wn": wn, "sim": wn.sim}
+
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
+        from ..core.knowledge import KnowledgeQuantum
+        from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_DEPLOY_QUANTUM,
+                                    OP_SET_NEXT_STEP, Directive, Shuttle)
+        from ..functions import (CachingRole, CombiningRole,
+                                 DelegationRole, FilteringRole, FusionRole,
+                                 TranscodingRole)
+        wn, sim = ctx["wn"], ctx["sim"]
+        src, dst = sorted(wn.ships, key=repr)
+        ship = ctx["ship"] = wn.ships[dst]
+        role_classes = (CachingRole, FilteringRole, FusionRole,
+                        DelegationRole, CombiningRole, TranscodingRole)
+        templates = []
+        for honest_role in (CachingRole, FilteringRole):
+            templates.append(Shuttle(
+                src, dst,
+                directives=[
+                    Directive(OP_ACQUIRE_ROLE, role_id=honest_role.role_id),
+                    Directive(OP_SET_NEXT_STEP,
+                              role_id=honest_role.role_id)],
+                credential=wn.credential,
+                interface=ship.interface).freeze_cargo())
+        for start in range(4):
+            quantum = KnowledgeQuantum(
+                f"bench.kq{start}",
+                [{"fact_class": "bench-fact", "value": f"v{start}-{i}",
+                  "weight": 1.0} for i in range(12)])
+            poison = Shuttle(
+                src, dst,
+                directives=[Directive(OP_ACQUIRE_ROLE,
+                                      role_id=role_cls.role_id,
+                                      module=role_cls.code_module())
+                            for role_cls in role_classes[start:start + 5]]
+                           + [Directive(OP_DEPLOY_QUANTUM, quantum=quantum)],
+                credential=wn.credential, interface=ship.interface)
+            poison.meta["manifest"] = ("install-code",)   # forged en route
+            poison.freeze_cargo()
+            templates.append(poison)
+        ctx["docked"] = 0
+        docks = self.p["docks"]
+
+        def dock() -> None:
+            docked = ctx["docked"]
+            if docked >= docks:
+                task.stop()
+                return
+            shuttle = templates[docked % len(templates)].clone()
+            shuttle.created_at = sim.now
+            ship.process_shuttle(shuttle, from_node=src)
+            ctx["docked"] = docked + 1
+
+        task = sim.every(0.01, dock)
+
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
+        sim, ship = ctx["sim"], ctx["ship"]
+        return {
+            "docked": ctx["docked"],
+            "processed": ship.shuttles_processed,
+            "rejected": ship.shuttles_rejected,
+            "admission_rejected": ship.shuttles_admission_rejected,
+            "events_executed": sim.events_executed,
+            "final_time": round(sim.now, 9),
+            "peak_agenda_depth": sim.peak_agenda_depth,
+        }
+
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        return totals, {"events": totals["events_executed"],
+                        "shuttles": totals["docked"]}
 
 
 # ----------------------------------------------------------------------
 # nomadic: the end-to-end workload plane
 # ----------------------------------------------------------------------
 
-def scenario_nomadic(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                     Dict[str, Any]]:
+class Nomadic(Scenario):
     """A nomadic user walks a route firing task capsules at a delegate."""
-    from ..functions import DelegationRole
-    from ..workloads.nomadic import NomadicUser
-    p = _scale_params(
-        scale,
-        tiny={"rows": 2, "cols": 3, "duration": 30.0},
-        short={"rows": 3, "cols": 3, "duration": 200.0},
-        medium={"rows": 3, "cols": 4, "duration": 600.0},
-        full={"rows": 4, "cols": 4, "duration": 1500.0})
-    wn = _quiet_wn(seed, p["rows"], p["cols"])
-    sim = wn.sim
-    nodes = sorted(wn.ships, key=repr)
-    delegate = nodes[0]
-    wn.deploy_role(DelegationRole, at=delegate, activate=True)
-    user = NomadicUser(sim, wn.ships, route=nodes[1:], delegate=delegate,
-                       dwell_time=10.0, task_interval=0.5)
-    # user_id comes from a process-global sequence and leaks into task
-    # flow ids (and from there into recorded facts); pin it so the run
-    # is a pure function of (seed, scale) regardless of what ran before.
-    user.user_id = "bench-nomad"
-    user.start()
-    sim.run(until=p["duration"])
-    user.stop()
-    sim.run(until=p["duration"] + 5.0)
-    counters = round_floats({
-        "tasks_sent": user.tasks_sent,
-        "completed": len(user.results),
-        "completion_ratio": user.completion_ratio(),
-        "mean_latency": (user.mean_latency()
-                         if user.results else 0.0),
-        "events_executed": sim.events_executed,
-        "final_time": sim.now,
-        "peak_agenda_depth": sim.peak_agenda_depth,
-    })
-    work = {"events": sim.events_executed, "shuttles": user.tasks_sent}
-    return counters, work
+
+    name = "nomadic"
+    description = "nomadic user firing task capsules along a route"
+    SIZES = {"tiny": {"rows": 2, "cols": 3, "duration": 30.0},
+             "short": {"rows": 3, "cols": 3, "duration": 200.0},
+             "medium": {"rows": 3, "cols": 4, "duration": 600.0},
+             "full": {"rows": 4, "cols": 4, "duration": 1500.0}}
+    __slots__ = ()
+
+    def horizon(self) -> float:
+        return self.p["duration"] + 5.0
+
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
+        wn = _quiet_wn(self.seed, self.p["rows"], self.p["cols"])
+        return {"wn": wn, "sim": wn.sim}
+
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
+        from ..functions import DelegationRole
+        from ..workloads.nomadic import NomadicUser
+        wn = ctx["wn"]
+        nodes = sorted(wn.ships, key=repr)
+        delegate = nodes[0]
+        wn.deploy_role(DelegationRole, at=delegate, activate=True)
+        user = ctx["user"] = NomadicUser(
+            ctx["sim"], wn.ships, route=nodes[1:], delegate=delegate,
+            dwell_time=10.0, task_interval=0.5)
+        # user_id comes from a process-global sequence and leaks into
+        # task flow ids (and from there into recorded facts); pin it so
+        # the run is a pure function of (seed, scale) regardless of what
+        # ran before.
+        user.user_id = "bench-nomad"
+        user.start()
+
+    def drive(self, ctx: Dict[str, Any]) -> None:
+        # The user stops firing at ``duration``; the tail lets the last
+        # capsules come home.
+        ctx["sim"].run(until=self.p["duration"])
+        ctx["user"].stop()
+        ctx["sim"].run(until=self.horizon())
+
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
+        sim, user = ctx["sim"], ctx["user"]
+        return round_floats({
+            "tasks_sent": user.tasks_sent,
+            "completed": len(user.results),
+            "completion_ratio": user.completion_ratio(),
+            "mean_latency": (user.mean_latency()
+                             if user.results else 0.0),
+            "events_executed": sim.events_executed,
+            "final_time": sim.now,
+            "peak_agenda_depth": sim.peak_agenda_depth,
+        })
+
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        return totals, {"events": totals["events_executed"],
+                        "shuttles": totals["tasks_sent"]}
 
 
 # ----------------------------------------------------------------------
 # audit-sweep: the digest-cache hot path
 # ----------------------------------------------------------------------
 
-def scenario_audit_sweep(seed: int, scale: str) -> Tuple[Dict[str, Any],
-                                                         Dict[str, Any]]:
+class AuditSweep(Scenario):
     """Periodic integrity audits over large, slowly-changing stores.
 
     Every sweep fingerprints each ship's knowledge base
@@ -675,107 +675,95 @@ def scenario_audit_sweep(seed: int, scale: str) -> Tuple[Dict[str, Any],
     dirty-bit cache's designed case.  The digests themselves are chained
     into the run digest, so a cache returning a stale fingerprint is a
     hard benchmark failure, not just a slow run.
+
+    Observability is switched on right after the network is built, as
+    the executor arms it for an observed run, so the metrics this
+    scenario fingerprints are the same with or without ``--obs-out``.
     """
-    import hashlib
-    from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP,
-                                Directive, Shuttle)
-    p = _scale_params(
-        scale,
-        tiny={"rows": 1, "cols": 3, "facts": 60, "sweeps": 20},
-        short={"rows": 2, "cols": 3, "facts": 300, "sweeps": 120},
-        medium={"rows": 2, "cols": 4, "facts": 350, "sweeps": 240},
-        full={"rows": 3, "cols": 4, "facts": 400, "sweeps": 600})
-    wn = _quiet_wn(seed, p["rows"], p["cols"])
-    sim = wn.sim
-    sim.obs.enable()
-    nodes = sorted(wn.ships, key=repr)
-    for index, node in enumerate(nodes):
-        ship = wn.ships[node]
-        for i in range(p["facts"]):
-            ship.record_fact(f"bench-class-{i % 7}", f"fact-{index}-{i}")
-    template = Shuttle(nodes[0], nodes[-1],
-                       directives=[
-                           Directive(OP_ACQUIRE_ROLE,
-                                     role_id="fn.caching"),
-                           Directive(OP_SET_NEXT_STEP,
-                                     role_id="fn.caching")],
-                       credential=wn.credential,
-                       interface=wn.ships[nodes[0]].interface)
-    template.freeze_cargo()
-    chain = hashlib.sha256()
-    sweeps = 0
-    mutations = 0
 
-    def sweep() -> None:
-        nonlocal sweeps
-        if sweeps >= p["sweeps"]:
-            sweep_task.stop()
-            churn_task.stop()
-            return
-        for node in nodes:
-            chain.update(
-                wn.ships[node].knowledge.content_digest().encode())
-        chain.update(sim.obs.metrics_digest().encode())
-        sweeps += 1
+    name = "audit-sweep"
+    description = "periodic integrity digests over slowly-changing stores"
+    SIZES = {"tiny": {"rows": 1, "cols": 3, "facts": 60, "sweeps": 20},
+             "short": {"rows": 2, "cols": 3, "facts": 300, "sweeps": 120},
+             "medium": {"rows": 2, "cols": 4, "facts": 350, "sweeps": 240},
+             "full": {"rows": 3, "cols": 4, "facts": 400, "sweeps": 600}}
+    __slots__ = ()
 
-    def churn() -> None:
-        # One new fact on one ship + one shuttle in flight: exactly one
-        # KB goes dirty, and the metrics move.
-        nonlocal mutations
-        ship = wn.ships[nodes[mutations % len(nodes)]]
-        ship.record_fact("bench-churn", f"churn-{mutations}")
-        shuttle = template.clone()
-        shuttle.created_at = sim.now
-        wn.ships[template.src].send_toward(shuttle)
-        mutations += 1
+    def horizon(self) -> float:
+        return 0.1 * (self.p["sweeps"] + 4)
 
-    sweep_task = sim.every(0.1, sweep)
-    churn_task = sim.every(1.0, churn)
-    sim.run(until=0.1 * (p["sweeps"] + 4))
-    counters = {
-        "sweeps": sweeps,
-        "mutations": mutations,
-        "audit_chain": chain.hexdigest()[:16],
-        "facts": sum(len(wn.ships[n].knowledge) for n in nodes),
-        "events_executed": sim.events_executed,
-        "final_time": round(sim.now, 9),
-        "peak_agenda_depth": sim.peak_agenda_depth,
-    }
-    work = {"events": sim.events_executed,
-            "shuttles": sweeps * len(nodes)}
-    return counters, work
+    def build(self, owned: Owned = None) -> Dict[str, Any]:
+        wn = _quiet_wn(self.seed, self.p["rows"], self.p["cols"])
+        wn.sim.obs.enable()
+        return {"wn": wn, "sim": wn.sim}
+
+    def setup(self, ctx: Dict[str, Any], owned: Owned) -> None:
+        from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP,
+                                    Directive, Shuttle)
+        wn, sim = ctx["wn"], ctx["sim"]
+        nodes = ctx["nodes"] = sorted(wn.ships, key=repr)
+        for index, node in enumerate(nodes):
+            ship = wn.ships[node]
+            for i in range(self.p["facts"]):
+                ship.record_fact(f"bench-class-{i % 7}", f"fact-{index}-{i}")
+        template = Shuttle(nodes[0], nodes[-1],
+                           directives=[
+                               Directive(OP_ACQUIRE_ROLE,
+                                         role_id="fn.caching"),
+                               Directive(OP_SET_NEXT_STEP,
+                                         role_id="fn.caching")],
+                           credential=wn.credential,
+                           interface=wn.ships[nodes[0]].interface)
+        template.freeze_cargo()
+        chain = ctx["chain"] = hashlib.sha256()
+        ctx["sweeps"] = ctx["mutations"] = 0
+        sweeps = self.p["sweeps"]
+
+        def sweep() -> None:
+            if ctx["sweeps"] >= sweeps:
+                sweep_task.stop()
+                churn_task.stop()
+                return
+            for node in nodes:
+                chain.update(
+                    wn.ships[node].knowledge.content_digest().encode())
+            chain.update(sim.obs.metrics_digest().encode())
+            ctx["sweeps"] += 1
+
+        def churn() -> None:
+            # One new fact on one ship + one shuttle in flight: exactly
+            # one KB goes dirty, and the metrics move.
+            mutations = ctx["mutations"]
+            ship = wn.ships[nodes[mutations % len(nodes)]]
+            ship.record_fact("bench-churn", f"churn-{mutations}")
+            shuttle = template.clone()
+            shuttle.created_at = sim.now
+            wn.ships[template.src].send_toward(shuttle)
+            ctx["mutations"] = mutations + 1
+
+        sweep_task = sim.every(0.1, sweep)
+        churn_task = sim.every(1.0, churn)
+
+    def collect(self, ctx: Dict[str, Any], owned: Owned) -> Dict[str, Any]:
+        wn, sim = ctx["wn"], ctx["sim"]
+        return {
+            "sweeps": ctx["sweeps"],
+            "mutations": ctx["mutations"],
+            "audit_chain": ctx["chain"].hexdigest()[:16],
+            "facts": sum(len(wn.ships[n].knowledge) for n in ctx["nodes"]),
+            "events_executed": sim.events_executed,
+            "final_time": round(sim.now, 9),
+            "peak_agenda_depth": sim.peak_agenda_depth,
+        }
+
+    def finalize(self, totals: Dict[str, Any]) -> Result:
+        # One audit reads every ship's knowledge base.
+        return totals, {"events": totals["events_executed"],
+                        "shuttles": totals["sweeps"] * self.p["rows"]
+                        * self.p["cols"]}
 
 
-ScenarioFn = Callable[[int, str], Tuple[Dict[str, Any], Dict[str, Any]]]
-
-#: name -> (function, one-line description).
-SCENARIOS: Dict[str, Tuple[ScenarioFn, str]] = {
-    "event-loop": (scenario_event_loop,
-                   "kernel churn: timer chains + lazy cancellations"),
-    "shuttle-storm": (scenario_shuttle_storm,
-                      "role-shuttle clones docking across a quiet grid"),
-    "jet-flood": (scenario_jet_flood,
-                  "self-replicating jets sweeping the grid"),
-    "arq-storm": (scenario_arq_storm,
-                  "reliable transport retransmitting over a lossy fabric"),
-    "admission-dock": (scenario_admission_dock,
-                       "payload-identical clones through the admission "
-                       "gate"),
-    "nomadic": (scenario_nomadic,
-                "nomadic user firing task capsules along a route"),
-    "audit-sweep": (scenario_audit_sweep,
-                    "periodic integrity digests over slowly-changing "
-                    "stores"),
-    "shard-scaling": (scenario_shard_scaling,
-                      "admission-heavy quanta pumped node-to-node; the "
-                      "partitioned-execution macro-benchmark"),
-}
-
-#: name -> ShardWorkload class, for scenarios that can run partitioned
-#: (``repro bench --workers K``).  Everything else is single-shard only
-#: and trivially worker-invariant.
-SHARD_WORKLOADS: Dict[str, type] = {
-    "shuttle-storm": ShuttleStormWorkload,
-    "jet-flood": JetFloodWorkload,
-    "shard-scaling": ShardScalingWorkload,
-}
+#: name -> scenario class, in catalog order.
+SCENARIOS: Dict[str, type] = {cls.name: cls for cls in (
+    EventLoop, ShuttleStorm, JetFlood, ArqStorm, AdmissionDock, Nomadic,
+    AuditSweep, ShardScaling)}

@@ -36,10 +36,8 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..core.shuttle import OP_ACQUIRE_ROLE, OP_SET_NEXT_STEP, Directive, \
     Shuttle
-from ..core.wandering_network import WanderingNetwork, \
-    WanderingNetworkConfig
+from ..perf.scenarios import ROLES, SCENARIOS, _quiet_wn
 from ..selfheal import GenomeArchive, HeartbeatDetector, SelfHealer
-from ..substrates.phys import grid_topology
 from ..substrates.phys.failures import FailureInjector
 from .arq import ReliableTransport
 from .breaker import LinkBreakerRegistry
@@ -47,72 +45,60 @@ from .breaker import LinkBreakerRegistry
 NodeId = Hashable
 Check = Callable[["ChaosHarness", Dict[str, Any]], Tuple[str, bool, str]]
 
-#: Roles cycled through by the workload (all in the default catalog).
-WORKLOAD_ROLES = ("fn.caching", "fn.filtering", "fn.transcoding",
-                  "fn.fusion")
+# Settings every transport campaign shares.  Nodes never fail at random
+# (node deaths are scripted) and circuit breakers are always installed.
+#: grid rows (a campaign picks its columns).
+ROWS = 3
+#: seconds of heartbeats and snapshots before faults and traffic start.
+WARMUP = 5.0
+#: seconds between two workload shuttles.
+SEND_INTERVAL = 2.0
+#: self-healing cadence: heartbeats and genome snapshots.
+HEARTBEAT_INTERVAL = 5.0
+ARCHIVE_INTERVAL = 10.0
+#: per-link circuit breakers: drops to open, seconds to half-open.
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN = 10.0
+#: the ARQ retransmission ladder.
+BASE_TIMEOUT = 2.0
+MAX_TIMEOUT = 20.0
+MAX_ATTEMPTS = 5
+JITTER = 0.25
+#: the drain: long enough for the deepest backoff chain to resolve.
+SETTLE = sum(min(BASE_TIMEOUT * 2.0 ** k, MAX_TIMEOUT)
+             for k in range(MAX_ATTEMPTS)) * (1.0 + JITTER) + 10.0
 
 
 class Campaign:
-    """A named chaos scenario: topology, fault model, workload, checks."""
+    """A named chaos scenario: fault model, run length, checks.
+
+    The network is a quiet ``ROWS`` x ``cols`` grid, built the way the
+    benchmark scenarios build theirs; everything no campaign varies is
+    a module constant.
+    """
 
     def __init__(self, name: str, description: str, *,
-                 rows: int = 3, cols: int = 3,
-                 duration: float = 60.0, warmup: float = 5.0,
-                 settle: Optional[float] = None,
-                 send_interval: float = 2.0,
+                 cols: int = 3,
+                 duration: float = 60.0,
                  loss_rate: float = 0.0,
                  link_mtbf: Optional[float] = None,
                  link_mttr: float = 10.0,
-                 node_mtbf: Optional[float] = None,
-                 node_mttr: float = 30.0,
                  selfheal: bool = False,
-                 heartbeat_interval: float = 5.0,
-                 archive_interval: float = 10.0,
-                 breakers: bool = True,
-                 breaker_threshold: int = 4,
-                 breaker_cooldown: float = 10.0,
-                 base_timeout: float = 2.0,
-                 max_timeout: float = 20.0,
-                 max_attempts: int = 5,
-                 jitter: float = 0.25,
                  script: Optional[Callable[["ChaosHarness"], None]] = None,
                  checks: Tuple[Check, ...] = ()):
         self.name = name
         self.description = description
-        self.rows = rows
         self.cols = cols
         self.duration = float(duration)
-        self.warmup = float(warmup)
-        self.settle = settle
-        self.send_interval = float(send_interval)
         self.loss_rate = float(loss_rate)
         self.link_mtbf = link_mtbf
         self.link_mttr = float(link_mttr)
-        self.node_mtbf = node_mtbf
-        self.node_mttr = float(node_mttr)
         self.selfheal = selfheal
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.archive_interval = float(archive_interval)
-        self.breakers = breakers
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
-        self.base_timeout = float(base_timeout)
-        self.max_timeout = float(max_timeout)
-        self.max_attempts = int(max_attempts)
-        self.jitter = float(jitter)
         self.script = script
         self.checks = tuple(checks)
 
-    def settle_time(self) -> float:
-        """Long enough for the deepest backoff chain to resolve."""
-        if self.settle is not None:
-            return float(self.settle)
-        total = sum(min(self.base_timeout * 2.0 ** k, self.max_timeout)
-                    for k in range(self.max_attempts))
-        return total * (1.0 + self.jitter) + 10.0
-
     def __repr__(self) -> str:
-        return f"<Campaign {self.name} {self.rows}x{self.cols} " \
+        return f"<Campaign {self.name} {ROWS}x{self.cols} " \
                f"duration={self.duration}>"
 
 
@@ -210,18 +196,15 @@ class ShuttleWorkload:
 
     STREAM = "chaos.workload"
 
-    def __init__(self, harness: "ChaosHarness", interval: float = 2.0,
-                 roles: Tuple[str, ...] = WORKLOAD_ROLES):
+    def __init__(self, harness: "ChaosHarness"):
         self.harness = harness
-        self.interval = float(interval)
-        self.roles = roles
         self._role_ix = 0
         self._task = None
         self.sent = 0
 
     def start(self) -> None:
         if self._task is None:
-            self._task = self.harness.sim.every(self.interval, self._tick)
+            self._task = self.harness.sim.every(SEND_INTERVAL, self._tick)
 
     def stop(self) -> None:
         if self._task is not None:
@@ -237,7 +220,7 @@ class ShuttleWorkload:
         dst = src
         while dst is src:
             dst = alive[rng.randrange(len(alive))]
-        role = self.roles[self._role_ix % len(self.roles)]
+        role = ROLES[self._role_ix % len(ROLES)]
         self._role_ix += 1
         shuttle = Shuttle(src.ship_id, dst.ship_id,
                           directives=[
@@ -259,53 +242,36 @@ class ChaosHarness:
         self.arq = bool(arq)
         #: Scratch space scripts use to hand victims etc. to checks.
         self.notes: Dict[str, Any] = {}
-        config = WanderingNetworkConfig(
-            seed=seed, router="static",
-            loss_rate=campaign.loss_rate,
-            resonance_enabled=False,
-            horizontal_wandering=False, vertical_wandering=False,
-            audits_enabled=False,
-            # Park the autopoietic loop far beyond the campaign: the
-            # workload is the only shuttle source, so the accounting
-            # invariants are exact.
-            pulse_interval=1e9, publish_interval=1e9)
-        self.wn = WanderingNetwork(grid_topology(campaign.rows,
-                                                 campaign.cols),
-                                   config)
+        # The autopoietic loop is parked far beyond the campaign: the
+        # workload is the only shuttle source, so the accounting
+        # invariants are exact.
+        self.wn = _quiet_wn(seed, ROWS, campaign.cols,
+                            loss_rate=campaign.loss_rate)
         self.sim = self.wn.sim
         if observability:
             self.sim.obs.enable()
             # The black box: last N sim moments, dumped with the
             # verdict (and rendered inline when an invariant fails).
             self.sim.obs.flight(capacity=512)
-        self.breakers: Optional[LinkBreakerRegistry] = None
-        if campaign.breakers:
-            self.breakers = LinkBreakerRegistry(
-                self.sim,
-                failure_threshold=campaign.breaker_threshold,
-                cooldown=campaign.breaker_cooldown).install(self.wn.fabric)
+        self.breakers = LinkBreakerRegistry(
+            self.sim, failure_threshold=BREAKER_THRESHOLD,
+            cooldown=BREAKER_COOLDOWN).install(self.wn.fabric)
         self.transport = ReliableTransport(
             self.sim, self.wn.ships,
-            base_timeout=campaign.base_timeout,
-            max_timeout=campaign.max_timeout,
-            max_attempts=campaign.max_attempts if self.arq else 1,
-            jitter=campaign.jitter)
-        self.workload = ShuttleWorkload(self,
-                                        interval=campaign.send_interval)
+            base_timeout=BASE_TIMEOUT, max_timeout=MAX_TIMEOUT,
+            max_attempts=MAX_ATTEMPTS if self.arq else 1, jitter=JITTER)
+        self.workload = ShuttleWorkload(self)
         self.injector = FailureInjector(
             self.sim, self.wn.topology,
-            link_mtbf=campaign.link_mtbf, link_mttr=campaign.link_mttr,
-            node_mtbf=campaign.node_mtbf, node_mttr=campaign.node_mttr)
+            link_mtbf=campaign.link_mtbf, link_mttr=campaign.link_mttr)
         self.archive: Optional[GenomeArchive] = None
         self.detector: Optional[HeartbeatDetector] = None
         self.healer: Optional[SelfHealer] = None
         if campaign.selfheal:
             self.archive = GenomeArchive(
-                self.sim, self.wn.ships,
-                interval=campaign.archive_interval)
+                self.sim, self.wn.ships, interval=ARCHIVE_INTERVAL)
             self.detector = HeartbeatDetector(
-                self.sim, self.wn.ships,
-                interval=campaign.heartbeat_interval)
+                self.sim, self.wn.ships, interval=HEARTBEAT_INTERVAL)
             self.healer = SelfHealer(self.sim, self.wn.ships,
                                      self.archive, self.detector,
                                      self.wn.catalog)
@@ -318,12 +284,12 @@ class ChaosHarness:
         if self.detector is not None:
             self.detector.start()
         # Warmup: heartbeats/snapshots establish steady state.
-        self.sim.run(until=c.warmup)
+        self.sim.run(until=WARMUP)
         if c.script is not None:
             c.script(self)
         self.injector.start()
         self.workload.start()
-        self.sim.run(until=c.warmup + c.duration)
+        self.sim.run(until=WARMUP + c.duration)
         self._drain()
         return self._judge()
 
@@ -332,7 +298,7 @@ class ChaosHarness:
         self.workload.stop()
         self.injector.stop()     # quiescent: pending repairs cancelled...
         self._repair_all()       # ...so we repair deterministically here.
-        self.sim.run(until=self.sim.now + self.campaign.settle_time())
+        self.sim.run(until=self.sim.now + SETTLE)
         self.transport.finalize()
 
     def _repair_all(self) -> None:
@@ -363,8 +329,7 @@ class ChaosHarness:
             "acks_sent": sum(s.acks_sent for s in ships),
             "link_failures": self.injector.link_failures,
             "node_failures": self.injector.node_failures,
-            "breaker_transitions": (len(self.breakers.transitions)
-                                    if self.breakers else 0),
+            "breaker_transitions": len(self.breakers.transitions),
             "false_suspicions": (self.detector.false_suspicions
                                  if self.detector else 0),
             "heals": len(self.healer.events) if self.healer else 0,
@@ -408,41 +373,37 @@ class WorkerFaultCampaign:
     (:mod:`repro.shard.supervisor`) must detect the death or stall,
     respawn the shard, replay its journaled handoff history and finish
     with a run digest byte-identical to the fault-free single-shard
-    oracle.  ``expect_degraded`` campaigns exhaust the restart budget on
-    purpose and instead assert the *degradation* contract: deterministic
-    inline fallback, flagged, never a crash.
+    oracle: one restart per fault.  A campaign with more faults than its
+    restart budget exhausts it on purpose and instead asserts the
+    *degradation* contract: deterministic inline fallback, flagged,
+    never a crash.
     """
 
+    #: The run every worker-fault campaign attacks.
+    SCENARIO = "shard-scaling"
+    SCALE = "tiny"
+    WORKERS = 2
+
     def __init__(self, name: str, description: str, *,
-                 scenario: str = "shard-scaling", scale: str = "tiny",
-                 workers: int = 2,
                  faults: Tuple[Tuple[str, int, int], ...] = (),
                  max_restarts: int = 3,
-                 barrier_deadline_s: float = 30.0,
-                 expect_restarts: int = 1,
-                 expect_degraded: bool = False):
+                 barrier_deadline_s: float = 30.0):
         self.name = name
         self.description = description
-        self.scenario = scenario
-        self.scale = scale
-        self.workers = int(workers)
         #: ``(kind, barrier, shard)`` triples — see
         #: :class:`repro.shard.recovery.Fault`.
         self.faults = tuple(faults)
         self.max_restarts = int(max_restarts)
         self.barrier_deadline_s = float(barrier_deadline_s)
-        self.expect_restarts = int(expect_restarts)
-        self.expect_degraded = bool(expect_degraded)
 
     def run(self, seed: int = 0, arq: bool = True,
             observability: bool = True) -> CampaignResult:
         from ..perf.digest import run_digest
-        from ..perf.scenarios import SHARD_WORKLOADS
         from ..shard import (Fault, FaultPlan, RecoveryConfig,
                              run_sharded, run_single)
-        factory = SHARD_WORKLOADS[self.scenario]
-        single_counters, _ = run_single(factory(seed, self.scale))
-        digest_single = run_digest(self.scenario, seed, self.scale,
+        scenario = SCENARIOS[self.SCENARIO]
+        single_counters, _ = run_single(scenario(seed, self.SCALE))
+        digest_single = run_digest(self.SCENARIO, seed, self.SCALE,
                                    single_counters)
         config = RecoveryConfig(
             barrier_deadline_s=self.barrier_deadline_s,
@@ -453,15 +414,15 @@ class WorkerFaultCampaign:
             faults=FaultPlan([Fault(kind, barrier, shard)
                               for kind, barrier, shard in self.faults]))
         counters, _, stats = run_sharded(
-            factory(seed, self.scale), self.workers, backend="mp",
+            scenario(seed, self.SCALE), self.WORKERS, backend="mp",
             obs=observability, recovery=config)
-        digest_sharded = run_digest(self.scenario, seed, self.scale,
+        digest_sharded = run_digest(self.SCENARIO, seed, self.SCALE,
                                     counters)
         recovery = stats.get("recovery", {})
         counts = {
-            "scenario": self.scenario,
-            "scale": self.scale,
-            "workers": self.workers,
+            "scenario": self.SCENARIO,
+            "scale": self.SCALE,
+            "workers": self.WORKERS,
             "faults": [list(f) for f in self.faults],
             "run_digest": digest_sharded,
             "run_digest_single": digest_single,
@@ -485,16 +446,16 @@ class WorkerFaultCampaign:
             counts["partial_digest_mismatches"] == 0,
             f"partial_digest_mismatches="
             f"{counts['partial_digest_mismatches']}")
-        if self.expect_degraded:
+        if len(self.faults) > self.max_restarts:
             add("degraded-not-crashed",
                 counts["degraded"] and stats.get("backend") == "inline",
                 f"degraded={counts['degraded']} "
                 f"backend={stats.get('backend')}")
         else:
             add("workers-restarted",
-                counts["worker_restarts"] >= self.expect_restarts,
+                counts["worker_restarts"] >= len(self.faults),
                 f"restarts={counts['worker_restarts']} >= "
-                f"{self.expect_restarts}")
+                f"{len(self.faults)}")
             add("not-degraded", not counts["degraded"],
                 f"degraded={counts['degraded']}")
         flight = None
@@ -506,7 +467,7 @@ class WorkerFaultCampaign:
 
     def __repr__(self) -> str:
         return (f"<WorkerFaultCampaign {self.name} "
-                f"{self.scenario}/{self.scale} k={self.workers} "
+                f"{self.SCENARIO}/{self.SCALE} k={self.WORKERS} "
                 f"faults={self.faults!r}>")
 
 
@@ -542,7 +503,7 @@ def _script_partition(harness: ChaosHarness) -> None:
     detector must suspect and then retract (false suspicions), and the
     healer must not transcribe anybody's genome.
     """
-    for r in range(harness.campaign.rows):
+    for r in range(ROWS):
         harness.injector.fail_link_now((r, 0), (r, 1), repair_after=30.0)
 
 
@@ -562,7 +523,7 @@ def _script_crash_during_heal(harness: ChaosHarness) -> None:
         state["armed"] = False
         surrogate = rec.fields["surrogate"]
         harness.notes["surrogate"] = surrogate
-        harness.sim.call_in(harness.campaign.archive_interval + 2.0,
+        harness.sim.call_in(ARCHIVE_INTERVAL + 2.0,
                             harness.wn.ships[surrogate].die,
                             name="chaos-crash-surrogate")
 
@@ -605,30 +566,27 @@ CAMPAIGNS: Dict[str, Campaign] = {c.name: c for c in [
     Campaign(
         "smoke",
         "Short link-flap run on a 3x3 grid; CI-sized ARQ sanity check.",
-        rows=3, cols=3, duration=60.0, send_interval=2.0,
-        loss_rate=0.005, link_mtbf=20.0, link_mttr=5.0,
+        duration=60.0, loss_rate=0.005, link_mtbf=20.0, link_mttr=5.0,
         checks=(_min_ratio(0.95),)),
     Campaign(
         "link-storm",
         "Sustained random link flaps (MTBF 60 s, MTTR 10 s) plus 1% "
         "packet loss; ARQ must hold the delivery ratio above 0.99.",
-        rows=3, cols=4, duration=300.0, send_interval=2.0,
-        loss_rate=0.01, link_mtbf=60.0, link_mttr=10.0,
+        cols=4, duration=300.0, loss_rate=0.01, link_mtbf=60.0,
+        link_mttr=10.0,
         checks=(_min_ratio(0.99),)),
     Campaign(
         "node-crash-snapshot",
         "Centre ship dies at the instant a genome snapshot fires; the "
         "healer must still reconstruct every archived role.",
-        rows=3, cols=3, duration=90.0, send_interval=2.0,
-        selfheal=True,
+        duration=90.0, selfheal=True,
         script=_script_crash_snapshot,
         checks=(_check_heals(1), _check_restoration("victim"))),
     Campaign(
         "partition-suspect",
         "Column cut for 30 s: silent-but-alive peers must produce false "
         "suspicions, retractions, and zero heals.",
-        rows=3, cols=3, duration=90.0, send_interval=2.0,
-        selfheal=True,
+        duration=90.0, selfheal=True,
         script=_script_partition,
         checks=(_check_false_suspicions, _check_no_heals,
                 _min_ratio(0.95))),
@@ -636,8 +594,7 @@ CAMPAIGNS: Dict[str, Campaign] = {c.name: c for c in [
         "crash-during-heal",
         "The surrogate chosen by the first heal is killed right after "
         "absorbing the victim's roles; healing must cascade.",
-        rows=3, cols=3, duration=150.0, send_interval=2.0,
-        selfheal=True,
+        duration=150.0, selfheal=True,
         script=_script_crash_during_heal,
         checks=(_check_heals(2), _check_restoration("victim"),
                 _check_restoration("surrogate"))),
@@ -650,27 +607,25 @@ CAMPAIGNS.update({c.name: c for c in [
         "SIGKILL one shard worker mid-run; the supervisor must respawn "
         "it, replay the epoch journal and finish digest-identical to "
         "the fault-free single-shard run.",
-        workers=2, faults=(("kill", 2, 1),)),
+        faults=(("kill", 2, 1),)),
     WorkerFaultCampaign(
         "worker-stall",
         "SIGSTOP one shard worker so it misses the per-barrier reply "
         "deadline; the supervisor must kill, respawn and replay it.",
-        workers=2, faults=(("stall", 1, 0),),
-        barrier_deadline_s=0.5),
+        faults=(("stall", 1, 0),), barrier_deadline_s=0.5),
     WorkerFaultCampaign(
         "worker-kill-during-handoff",
         "SIGKILL a worker after its barrier reply — mid-handoff, with "
         "its outbox already routed — so the death is detected at the "
         "next epoch send and the replacement replays into a half-"
         "exchanged barrier.",
-        workers=2, faults=(("kill-after-reply", 2, 1),)),
+        faults=(("kill-after-reply", 2, 1),)),
     WorkerFaultCampaign(
         "worker-budget-exhausted",
         "Kill a worker with a zero restart budget: the run must "
         "degrade deterministically to the inline oracle (flagged, "
         "digest-identical) instead of crashing.",
-        workers=2, faults=(("kill", 2, 0),),
-        max_restarts=0, expect_restarts=0, expect_degraded=True),
+        faults=(("kill", 2, 0),), max_restarts=0),
 ]})
 
 

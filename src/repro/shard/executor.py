@@ -30,10 +30,10 @@ rollback).  Batches are merged in canonical ``(time, source shard,
 send order)`` order before injection so event tie-breaking at equal
 timestamps is identical no matter how many shards contributed.
 
-A workload is *sharded* only when its scenario opts in (see
-``repro.perf.scenarios.SHARD_WORKLOADS``); everything else falls back
-to the single-shard path, where ``--workers K`` is digest-trivially
-invariant by construction.
+Every benchmark scenario (:class:`repro.perf.scenarios.Scenario`) is
+a :class:`ShardWorkload` run through :func:`run_sharded`; one that
+does not set ``shardable`` runs at K=1, i.e. :func:`run_single`, where
+``--workers K`` is digest-trivially invariant by construction.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class ShardWorkload:
       the single-shard oracle).
     * :meth:`setup` installs event sources (drivers) **only** for
       owned nodes.
+    * :meth:`drive` runs an unsharded replica to its end; sharded
+      replicas are driven epoch by epoch to :meth:`horizon` instead.
     * :meth:`collect` returns summable numeric partials over owned
       ships; the executor sums them across shards.
     * :meth:`finalize` maps the summed totals to the scenario's
@@ -80,7 +82,9 @@ class ShardWorkload:
     def topology(self):
         raise NotImplementedError
 
-    def horizon(self) -> float:
+    def horizon(self) -> Optional[float]:
+        """The simulated end; ``None`` (never sharded) runs until the
+        agenda is empty."""
         raise NotImplementedError
 
     def build(self, owned: Optional[FrozenSet[NodeId]] = None
@@ -90,6 +94,11 @@ class ShardWorkload:
     def setup(self, ctx: Dict[str, Any],
               owned: Optional[FrozenSet[NodeId]]) -> None:
         raise NotImplementedError
+
+    def drive(self, ctx: Dict[str, Any]) -> None:
+        """Run an unsharded replica to its end (override only to stop a
+        driver between two run segments)."""
+        ctx["sim"].run(until=self.horizon())
 
     def collect(self, ctx: Dict[str, Any],
                 owned: Optional[FrozenSet[NodeId]]) -> Dict[str, Any]:
@@ -114,12 +123,20 @@ def shard_fabric_factory(owned: Optional[FrozenSet[NodeId]]):
 
 def run_single(workload: ShardWorkload
                ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """The single-shard oracle: build once, run to the horizon."""
+    """The single-shard oracle: build once, drive the whole network."""
+    return _run_whole(workload, obs=False)[:2]
+
+
+def _run_whole(workload: ShardWorkload, obs: bool):
+    """:func:`run_single` plus the replica's simulator, its telemetry
+    armed after the build when ``obs`` is on."""
     ctx = workload.build(owned=None)
+    if obs:
+        _arm_obs(ctx, 0)
     workload.setup(ctx, owned=None)
-    ctx["sim"].run(until=workload.horizon())
-    totals = workload.collect(ctx, owned=None)
-    return workload.finalize(totals)
+    workload.drive(ctx)
+    counters, work = workload.finalize(workload.collect(ctx, owned=None))
+    return counters, work, ctx["sim"]
 
 
 def _arm_obs(ctx: Dict[str, Any], shard_index: int):
@@ -160,36 +177,34 @@ def run_sharded(workload: ShardWorkload, workers: int,
 
     The ``mp`` backend always runs supervised (see
     :mod:`repro.shard.supervisor`): a dead or stalled worker is
-    respawned and replayed from the epoch journal, and a spent restart
-    budget degrades the run to the inline backend.  ``recovery`` (a
+    respawned and replayed from the epoch journal, a spent restart
+    budget degrades the run to the inline backend, and an exception
+    the workload raises in a worker is raised here.  ``recovery`` (a
     :class:`~repro.shard.recovery.RecoveryConfig`; ``None`` means the
     defaults) only tunes that supervision: reply deadline, restart
     budget, backoff and injected faults.  The inline backend ignores
-    it, having no processes to lose.
+    it, having no processes to lose.  ``workers=1`` never partitions.
     """
     if backend not in ("inline", "mp"):
         raise ValueError(f"unknown shard backend {backend!r} "
                          "(known: inline, mp)")
-    plan = partition(workload.topology(), workers, seed=workload.seed)
-    if plan.k <= 1 or plan.lookahead <= 0.0:
+    if recovery is not None and not isinstance(recovery, RecoveryConfig):
+        raise TypeError(f"recovery must be a RecoveryConfig or None, "
+                        f"not {type(recovery).__name__}")
+    plan = (partition(workload.topology(), workers, seed=workload.seed)
+            if workers > 1 else None)
+    if plan is None or plan.k <= 1 or plan.lookahead <= 0.0:
         stats = {
             "mode": "single", "k": 1, "requested_k": workers,
             "backend": backend, "barriers": 0, "handoffs": 0,
-            "reason": ("k=1" if plan.k <= 1 else "zero-lookahead"),
+            "reason": ("k=1" if plan is None or plan.k <= 1
+                       else "zero-lookahead"),
         }
-        if not obs:
-            counters, work = run_single(workload)
-            return counters, work, stats
-        from ..obs.snapshot import ObsSnapshot, merge_snapshots
-        ctx = workload.build(owned=None)
-        _arm_obs(ctx, 0)
-        workload.setup(ctx, owned=None)
-        ctx["sim"].run(until=workload.horizon())
-        totals = workload.collect(ctx, owned=None)
-        counters, work = workload.finalize(totals)
-        merged = merge_snapshots([ObsSnapshot.capture(ctx["sim"].obs,
-                                                      shard=0)])
-        stats["obs"] = merged
+        counters, work, sim = _run_whole(workload, obs)
+        if obs:
+            from ..obs.snapshot import ObsSnapshot, merge_snapshots
+            stats["obs"] = merge_snapshots(
+                [ObsSnapshot.capture(sim.obs, shard=0)])
         return counters, work, stats
     if backend == "mp":
         from .supervisor import run_supervised

@@ -21,9 +21,11 @@ epoch barriers, wrapping every protocol step in supervision:
 * when the run-wide restart budget is exhausted the run *degrades*
   deterministically: every worker is killed and the inline oracle
   re-executes the workload from scratch in-process, flagged
-  ``degraded`` in stats.  A deterministic workload failure (one that
-  kills every replacement too) therefore ends in the inline re-run,
-  which raises the workload's own exception in the caller.
+  ``degraded`` in stats;
+* an exception raised by the workload itself (a bug every replacement
+  would repeat) is not a death: the worker sends it back over the pipe
+  and the parent raises it at once — no revival, no degradation, no
+  inline re-run.
 
 Fault injection (:class:`~repro.shard.recovery.FaultPlan`) is applied
 by the supervisor itself at exact protocol points, so chaos campaigns
@@ -61,6 +63,26 @@ from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
 # the worker end of the pipe protocol
 # ----------------------------------------------------------------------
 
+class _WorkerFailure:
+    """A worker's reply when its workload raised: the exception, or a
+    ``RuntimeError`` carrying its traceback when it does not pickle."""
+
+    __shard_boundary__ = True     # crosses the worker pipe (VIA012)
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            import traceback
+            error = RuntimeError("shard worker raised an exception that "
+                                 "does not pickle:\n" + "".join(
+                                     traceback.format_exception(
+                                         type(error), error,
+                                         error.__traceback__)))
+        self.error = error
+
+
 def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                  shard_index: int, obs: bool = False) -> None:
     """One shard in its own process: build, then serve the barrier
@@ -76,17 +98,21 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
     original worker already shipped those handoffs before it died.
     Each discarded outbox is fingerprinted against its journaled
     partial digest (when one was recorded), so a replay that diverged
-    is detected at the worker, not at the final digest."""
-    workload = pickle.loads(workload_bytes)
-    owned = frozenset(plan.shards[shard_index])
-    ctx = workload.build(owned=owned)
-    if obs:
-        _arm_obs(ctx, shard_index)
-    workload.setup(ctx, owned=owned)
-    sim, fabric = ctx["sim"], ctx["fabric"]
-    cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-    barriers = 0
+    is detected at the worker, not at the final digest.
+
+    A workload exception is sent back as a :class:`_WorkerFailure`, and
+    the pipe is held open until the parent hangs up, so the parent
+    reads the failure rather than a broken pipe."""
     try:
+        workload = pickle.loads(workload_bytes)
+        owned = frozenset(plan.shards[shard_index])
+        ctx = workload.build(owned=owned)
+        if obs:
+            _arm_obs(ctx, shard_index)
+        workload.setup(ctx, owned=owned)
+        sim, fabric = ctx["sim"], ctx["fabric"]
+        cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
+        barriers = 0
         while True:
             message = conn.recv()
             kind = message[0]
@@ -134,6 +160,13 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                 conn.send((workload.collect(ctx, owned), cpu_s, snapshot))
             else:  # "quit"
                 return
+    except Exception as exc:
+        try:
+            conn.send(_WorkerFailure(exc))
+            while True:
+                conn.recv()
+        except (EOFError, OSError):
+            pass        # the parent has hung up
     finally:
         conn.close()
 
@@ -146,7 +179,8 @@ def _recv_deadline(conn, proc, shard_index: int, epoch: int,
     with a live process is a :class:`~repro.shard.recovery.
     ShardWorkerTimeout` (stall), a dead process or EOF on the pipe is a
     :class:`~repro.shard.recovery.ShardWorkerCrash`, so a hung worker
-    can never wedge the parent.
+    can never wedge the parent.  A :class:`_WorkerFailure` reply raises
+    the workload's own exception.
     """
     if not conn.poll(deadline_s):
         if proc.is_alive():
@@ -155,11 +189,14 @@ def _recv_deadline(conn, proc, shard_index: int, epoch: int,
         raise ShardWorkerCrash(shard_index, epoch, barrier_time,
                                proc.exitcode)
     try:
-        return conn.recv()
+        reply = conn.recv()
     except (EOFError, BrokenPipeError, OSError) as exc:
         proc.join(timeout=10.0)
         raise ShardWorkerCrash(shard_index, epoch, barrier_time,
                                proc.exitcode, cause=repr(exc)) from exc
+    if isinstance(reply, _WorkerFailure):
+        raise reply.error
+    return reply
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +603,8 @@ def run_supervised(workload: ShardWorkload, plan: ShardPlan,
     handoff history into a replacement replica.  When the restart
     budget is exhausted the run degrades to the inline oracle,
     flagged ``stats["degraded"] = True``: deterministic, and the same
-    result, or the same workload exception, an inline run gives.
+    result an inline run gives.  An exception raised by the workload in
+    a worker is raised here as soon as its reply is read.
     ``recovery=None`` supervises with the :class:`RecoveryConfig`
     defaults.
     """

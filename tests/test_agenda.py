@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.perf.harness import run_scenario
-from repro.perf.scenarios import SCENARIOS, SHARD_WORKLOADS
+from repro.perf.scenarios import SCENARIOS
 from repro.substrates.sim.agenda import HeapAgenda
 from repro.substrates.sim.events import LAZY, NORMAL, URGENT, Event
 from repro.substrates.sim.kernel import Simulator
@@ -170,7 +170,7 @@ class TestDigestMatrix:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_new_switches_digest_stable_across_shards(self, scenario):
         reference = run_scenario(scenario, seed=7, scale="tiny")
-        ks = (1, 2, 4) if scenario in SHARD_WORKLOADS else (1,)
+        ks = (1, 2, 4) if SCENARIOS[scenario].shardable else (1,)
         for k in ks:
             got = run_scenario(scenario, seed=7, scale="tiny",
                                workers=k, backend="inline")

@@ -26,7 +26,7 @@ from repro.obs.exporters import (_escape_label_value, load_jsonl,
                                  to_prometheus_text)
 from repro.obs.registry import MetricError
 from repro.perf.harness import load_results, run_scenario
-from repro.perf.scenarios import SHARD_WORKLOADS
+from repro.perf.scenarios import SCENARIOS
 from repro.shard import (ShardWorkload, run_sharded, run_single,
                          shard_fabric_factory)
 from repro.substrates.phys.topology import grid_topology
@@ -147,7 +147,7 @@ class TestMergedDigestInvariance:
 
     @pytest.fixture(scope="class")
     def matrix(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         runs = {}
         for backend in ("inline", "mp"):
@@ -239,9 +239,13 @@ class TestObsDigestNeutrality:
         assert "obs" not in result.shard_stats
         json.dumps(payload, sort_keys=True)   # serialisable end to end
 
-    def test_obs_requires_shardable_scenario(self):
-        with pytest.raises(ValueError, match="shardable"):
-            run_scenario("event-loop", seed=42, scale="tiny", obs=True)
+    def test_obs_on_single_replica_scenario_keeps_digest(self):
+        plain = run_scenario("event-loop", seed=42, scale="tiny")
+        observed = run_scenario("event-loop", seed=42, scale="tiny",
+                                obs=True)
+        assert observed.digest == plain.digest
+        assert observed.obs is not None
+        assert observed.obs.meta["k"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +505,7 @@ class TestJsonlRoundTrip:
 
     def test_sharded_artifact_round_trips_via_cli_paths(self, tmp_path):
         _, _, stats = run_sharded(
-            SHARD_WORKLOADS["shard-scaling"](42, "tiny"), 2,
+            SCENARIOS["shard-scaling"](42, "tiny"), 2,
             backend="inline", obs=True)
         merged = stats["obs"]
         path = str(tmp_path / "sharded.jsonl")
@@ -591,12 +595,23 @@ class TestCliObs:
         from repro.cli import main
         assert main(["obs", "report", "/nonexistent/run.jsonl"]) == 1
 
-    def test_bench_obs_out_rejects_non_shardable(self, tmp_path, capsys):
+    def test_bench_obs_out_requires_one_scenario(self, tmp_path, capsys):
         from repro.cli import main
         out = str(tmp_path / "o.jsonl")
-        assert main(["bench", "event-loop", "--scale", "tiny",
-                     "--obs-out", out]) == 2
         assert main(["bench", "--scale", "tiny", "--obs-out", out]) == 2
+
+    def test_bench_obs_out_on_single_replica_scenario(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        out = str(tmp_path / "o.jsonl")
+        bench_dir = str(tmp_path / "bench")
+        assert main(["bench", "event-loop", "--scale", "tiny",
+                     "--repeats", "1", "--obs-out", out,
+                     "--out", bench_dir]) == 0
+        assert load_jsonl(out)[0]["type"] == "meta"
+        entry = load_results(bench_dir + "/BENCH_event_loop.json")[0]
+        plain = run_scenario("event-loop", seed=42, scale="tiny")
+        assert entry["digest"] == plain.digest
 
     def test_bench_obs_out_writes_artifact(self, tmp_path, capsys):
         from repro.cli import main

@@ -11,16 +11,23 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.perf.digest import run_digest
 from repro.perf.harness import (BENCH_VERSION, BenchResult, compare,
                                 load_results, run_scenario)
-from repro.perf.scenarios import SCENARIOS, SHARD_WORKLOADS
+from repro.perf.scenarios import (SCENARIOS, JetFlood, ShardScaling,
+                                  ShuttleStorm)
 from repro.shard import (Handoff, ShardFabric, ShardWorkload,
                          effective_k, partition, run_sharded, run_single,
                          shard_fabric_factory)
 from repro.substrates.phys.topology import grid_topology, ring_topology
 
+from .hypothesis_tiers import QUICK_SETTINGS, SLOW_SETTINGS
+
+#: The scenarios that run partitioned, by name.
+SHARDABLE = sorted(name for name, cls in SCENARIOS.items() if cls.shardable)
 #: Every grid shape a scenario uses at any scale.
 SCENARIO_GRIDS = [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4),
                   (4, 5), (5, 5), (6, 6)]
@@ -113,11 +120,11 @@ class TestPartition:
 class TestDigestInvariance:
     """K-shard == 1-shard, byte for byte, for every scenario."""
 
-    @pytest.mark.parametrize("name", sorted(SHARD_WORKLOADS))
+    @pytest.mark.parametrize("name", SHARDABLE)
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("backend", ["inline", "mp"])
     def test_shardable_matrix_tiny(self, name, k, backend):
-        cls = SHARD_WORKLOADS[name]
+        cls = SCENARIOS[name]
         base_counters, base_work = run_single(cls(42, "tiny"))
         counters, work, stats = run_sharded(cls(42, "tiny"), k,
                                             backend=backend)
@@ -130,8 +137,7 @@ class TestDigestInvariance:
             assert stats["k"] > 1
             assert stats["barriers"] > 0
 
-    @pytest.mark.parametrize("name",
-                             sorted(set(SCENARIOS) - set(SHARD_WORKLOADS)))
+    @pytest.mark.parametrize("name", sorted(set(SCENARIOS) - set(SHARDABLE)))
     def test_non_shardable_falls_back(self, name):
         single = run_scenario(name, seed=42, scale="tiny", repeats=1)
         sharded = run_scenario(name, seed=42, scale="tiny", repeats=1,
@@ -154,8 +160,8 @@ class TestDigestInvariance:
         # The invariance is not vacuous: digests do react to inputs.
         # (shuttle-storm draws destinations from seeded streams;
         # shard-scaling's traffic is deliberately seed-independent.)
-        a, _ = run_single(SHARD_WORKLOADS["shuttle-storm"](1, "tiny"))
-        b, _ = run_single(SHARD_WORKLOADS["shuttle-storm"](2, "tiny"))
+        a, _ = run_single(SCENARIOS["shuttle-storm"](1, "tiny"))
+        b, _ = run_single(SCENARIOS["shuttle-storm"](2, "tiny"))
         assert a != b
 
 
@@ -163,7 +169,7 @@ class TestCommittedBaselineSharded:
     """workers=2, mp backend, short scale vs the committed digests —
     the exact check the CI parallel-smoke job runs."""
 
-    @pytest.mark.parametrize("name", sorted(SHARD_WORKLOADS))
+    @pytest.mark.parametrize("name", SHARDABLE)
     def test_mp_short_matches_committed_digest(self, name, repo_baseline):
         entry = repo_baseline[name]
         result = run_scenario(name, seed=entry["seed"],
@@ -214,7 +220,7 @@ class ZeroLatencyWorkload(ShardWorkload):
                               "shuttles": 0}
 
 
-class SleepyWorkload(SHARD_WORKLOADS["shard-scaling"]):
+class SleepyWorkload(SCENARIOS["shard-scaling"]):
     """The shard owning node ``(0, 0)`` sleeps 0.4 s of host time
     mid-run."""
 
@@ -231,18 +237,24 @@ class TestExecutor:
         assert stats["reason"] == "zero-lookahead"
 
     def test_workers_1_is_single(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         _, _, stats = run_sharded(cls(42, "tiny"), 1)
         assert stats["mode"] == "single"
         assert stats["reason"] == "k=1"
 
+    @pytest.mark.parametrize("backend", ["inline", "mp"])
+    def test_bad_recovery_rejected_at_the_call(self, backend):
+        cls = SCENARIOS["shard-scaling"]
+        with pytest.raises(TypeError, match="RecoveryConfig"):
+            run_sharded(cls(1, "tiny"), 2, backend=backend, recovery=True)
+
     def test_unknown_backend_rejected(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         with pytest.raises(ValueError, match="unknown shard backend"):
             run_sharded(cls(42, "tiny"), 2, backend="threads")
 
     def test_stats_shape(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="inline")
         assert stats["backend"] == "inline"
         assert stats["k"] == 2
@@ -253,7 +265,7 @@ class TestExecutor:
         assert stats["lookahead"] == pytest.approx(0.05)
 
     def test_mp_reports_barrier_stall(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="mp")
         assert stats["backend"] == "mp"
         assert stats["barrier_stall_s"] >= 0.0
@@ -264,6 +276,67 @@ class TestExecutor:
         _, _, stats = run_sharded(SleepyWorkload(42, "tiny"), 2,
                                   backend="inline")
         assert max(stats["worker_cpu_s"]) < 0.3
+
+
+# ----------------------------------------------------------------------
+# generated grid scenarios
+# ----------------------------------------------------------------------
+#
+# Module-level subclasses, so a drawn scenario pickles into mp workers;
+# each carries its own link latency.
+
+class DrawnStorm(ShuttleStorm):
+    __slots__ = ("latency",)
+
+
+class DrawnFlood(JetFlood):
+    __slots__ = ("latency",)
+
+
+class DrawnScaling(ShardScaling):
+    __slots__ = ("latency",)
+
+
+#: drawn scenario -> the size knob that sets its traffic quota.
+QUOTA_KNOBS = {DrawnStorm: "per_source", DrawnFlood: "waves",
+               DrawnScaling: "per_node"}
+
+
+@st.composite
+def drawn_grids(draw):
+    """A grid scenario with a drawn shape, link latency, quota and
+    seed, and a shard count from 2 up to its node count.  Latencies
+    that divide the send intervals land arrivals from several shards,
+    and epoch ends, on the same instants."""
+    cls = draw(st.sampled_from(list(QUOTA_KNOBS)))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(2, 4))
+    scenario = cls(draw(st.integers(0, 2 ** 16)), "tiny")
+    scenario.p = dict(scenario.p, rows=rows, cols=cols,
+                      **{QUOTA_KNOBS[cls]: draw(st.integers(1, 12))})
+    scenario.latency = draw(st.sampled_from((0.01, 0.025, 0.05, 0.1)))
+    return scenario, draw(st.integers(2, rows * cols))
+
+
+class TestGeneratedGrids:
+    """K shards give :func:`run_single`'s ``(counters, work)`` on drawn
+    grid scenarios.  A grid scenario reports only counters that no
+    same-time tie can move (see ``_GridScenario``), so the whole result
+    is compared."""
+
+    @SLOW_SETTINGS
+    @given(drawn=drawn_grids())
+    def test_inline_shards_match_single(self, drawn):
+        scenario, k = drawn
+        counters, work, _ = run_sharded(scenario, k, backend="inline")
+        assert (counters, work) == run_single(scenario)
+
+    @QUICK_SETTINGS
+    @given(drawn=drawn_grids())
+    def test_mp_shards_match_single(self, drawn):
+        scenario, k = drawn
+        counters, work, _ = run_sharded(scenario, k, backend="mp")
+        assert (counters, work) == run_single(scenario)
 
 
 class TestEpochEnds:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.perf.digest import run_digest
 from repro.perf.harness import load_results
-from repro.perf.scenarios import SHARD_WORKLOADS
+from repro.perf.scenarios import SCENARIOS
 from repro.resilience import run_campaign
 from repro.shard import (EpochJournal, Fault, FaultPlan, Handoff,
                          RecoveryConfig, RestartBudgetExhausted,
@@ -27,6 +27,8 @@ from repro.shard import (EpochJournal, Fault, FaultPlan, Handoff,
                          outbox_digest, run_sharded, run_single)
 from repro.shard.supervisor import _recv_deadline
 
+#: The scenarios that run partitioned, by name.
+SHARDABLE = sorted(name for name, cls in SCENARIOS.items() if cls.shardable)
 #: Fast restart ladder for tests — chaos on purpose shouldn't idle.
 FAST = dict(backoff_base_s=0.005, backoff_max_s=0.02)
 
@@ -45,10 +47,10 @@ class TestDigestIdenticalRecovery:
     supervised run finishes byte-identical to the fault-free single-
     shard oracle."""
 
-    @pytest.mark.parametrize("name", sorted(SHARD_WORKLOADS))
+    @pytest.mark.parametrize("name", SHARDABLE)
     @pytest.mark.parametrize("k", [2, 4])
     def test_sigkill_recovers_digest_identical(self, name, k):
-        cls = SHARD_WORKLOADS[name]
+        cls = SCENARIOS[name]
         base_counters, base_work = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 2, k - 1))
         counters, work, stats = run_sharded(cls(42, "tiny"), k,
@@ -62,10 +64,10 @@ class TestDigestIdenticalRecovery:
         assert rec["partial_digest_mismatches"] == 0
         assert not stats.get("degraded")
 
-    @pytest.mark.parametrize("name", sorted(SHARD_WORKLOADS))
+    @pytest.mark.parametrize("name", SHARDABLE)
     @pytest.mark.parametrize("k", [2, 4])
     def test_stall_recovers_digest_identical(self, name, k):
-        cls = SHARD_WORKLOADS[name]
+        cls = SCENARIOS[name]
         base_counters, base_work = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("stall", 1, 0),
                                barrier_deadline_s=0.3)
@@ -83,7 +85,7 @@ class TestDigestIdenticalRecovery:
         """Death *between* barriers — outbox already routed — is
         detected at the next epoch send and replayed through a half-
         exchanged barrier."""
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill-after-reply", 2, 1))
         counters, _, stats = run_sharded(cls(42, "tiny"), 2,
@@ -94,7 +96,7 @@ class TestDigestIdenticalRecovery:
     def test_kill_after_final_barrier_recovers_at_collect(self):
         """Death after the last barrier's reply forces a full-history
         replay at collect time."""
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill-after-reply", -1, 1))
         counters, _, stats = run_sharded(cls(42, "tiny"), 2,
@@ -105,7 +107,7 @@ class TestDigestIdenticalRecovery:
         assert rec["replayed_epochs"] == stats["barriers"]
 
     def test_multiple_faults_same_run(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 2, 0), Fault("kill", 10, 1),
                                max_restarts=5)
@@ -118,7 +120,7 @@ class TestDigestIdenticalRecovery:
         """Every mp run is supervised, and supervision is pure overhead
         when nothing fails: the single-shard oracle's counters, zero
         restarts."""
-        cls = SHARD_WORKLOADS["shuttle-storm"]
+        cls = SCENARIOS["shuttle-storm"]
         base_counters, base_work = run_single(cls(42, "tiny"))
         counters, work, stats = run_sharded(cls(42, "tiny"), 2,
                                             backend="mp")
@@ -136,7 +138,7 @@ class TestCommittedBaselineRecovery:
         seed, scale = entry["seed"], entry["scale"]
         config = _fault_config(Fault("kill", 3, 1))
         counters, _, stats = run_sharded(
-            SHARD_WORKLOADS["shard-scaling"](seed, scale), 2,
+            SCENARIOS["shard-scaling"](seed, scale), 2,
             backend="mp", recovery=config)
         assert run_digest("shard-scaling", seed, scale, counters) \
             == entry["digest"]
@@ -154,7 +156,7 @@ class TestCommittedBaselineRecovery:
 # degradation: budget exhaustion must not crash
 # ----------------------------------------------------------------------
 
-class BuggyWorkload(SHARD_WORKLOADS["shard-scaling"]):
+class BuggyWorkload(SCENARIOS["shard-scaling"]):
     """A worker-side callback that raises: a deterministic failure
     every replacement repeats.  Never scheduled in the single-shard
     oracle."""
@@ -169,9 +171,29 @@ class BuggyWorkload(SHARD_WORKLOADS["shard-scaling"]):
         raise RuntimeError("workload bug")
 
 
+class UnpicklableBug(Exception):
+    """A workload exception that cannot cross a pipe: it holds a
+    lambda."""
+
+    def __init__(self):
+        super().__init__("unpicklable workload bug")
+        self.hook = lambda: None
+
+
+class UnpicklableBuggyWorkload(BuggyWorkload):
+    @staticmethod
+    def _bug():
+        raise UnpicklableBug()
+
+
+def _no_recovery(*args, **kwargs):
+    raise AssertionError("a workload bug must not revive a worker or "
+                         "degrade the run")
+
+
 class TestDegradation:
     def test_budget_exhaustion_degrades_to_inline(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, base_work = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 2, 0), max_restarts=0)
         counters, work, stats = run_sharded(cls(42, "tiny"), 2,
@@ -186,7 +208,7 @@ class TestDegradation:
         assert stats["recovery"]["degraded"] is True
 
     def test_degradation_is_deterministic(self):
-        cls = SHARD_WORKLOADS["shuttle-storm"]
+        cls = SCENARIOS["shuttle-storm"]
         runs = []
         for _ in range(2):
             config = _fault_config(Fault("kill", 1, 1), max_restarts=0)
@@ -201,7 +223,7 @@ class TestDegradation:
     def test_budget_counts_run_wide(self):
         """Three kills against a budget of two: the third exhausts it
         and the run degrades — still digest-identical."""
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 1, 0), Fault("kill", 3, 1),
                                Fault("kill", 5, 0), max_restarts=2)
@@ -211,10 +233,16 @@ class TestDegradation:
         assert stats["degraded"] is True
         assert stats["recovery"]["worker_restarts"] == 2
 
-    def test_deterministic_worker_failure_surfaces_from_inline(self):
-        """A workload bug kills every replacement too: the budget runs
-        out, the run degrades, and the inline re-run raises the bug in
-        the caller.  No worker outlives the run."""
+    def test_workload_exception_raises_without_revival(self,
+                                                       monkeypatch):
+        """A workload bug is not a worker death: the worker sends the
+        exception back and the parent raises it at once — no worker is
+        revived and the run does not degrade to an inline re-run.  No
+        worker outlives the run."""
+        from repro.shard import supervisor
+        monkeypatch.setattr(supervisor.ShardSupervisor, "_revive",
+                            _no_recovery)
+        monkeypatch.setattr(supervisor, "_run_inline", _no_recovery)
         with pytest.raises(RuntimeError, match="workload bug"):
             run_sharded(BuggyWorkload(42, "tiny"), 2, backend="mp",
                         recovery=RecoveryConfig(**FAST))
@@ -224,6 +252,17 @@ class TestDegradation:
                 and time.monotonic() < deadline:  # via: ignore[VIA003]
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+    def test_unpicklable_workload_exception_carries_its_traceback(
+            self, monkeypatch):
+        from repro.shard import supervisor
+        monkeypatch.setattr(supervisor.ShardSupervisor, "_revive",
+                            _no_recovery)
+        with pytest.raises(RuntimeError, match="does not pickle") as info:
+            run_sharded(UnpicklableBuggyWorkload(42, "tiny"), 2,
+                        backend="mp", recovery=RecoveryConfig(**FAST))
+        assert "UnpicklableBug: unpicklable workload bug" \
+            in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +308,7 @@ class TestTypedBarrierErrors:
             proc.join(timeout=10.0)
 
 
-class DiesOnceWorkload(SHARD_WORKLOADS["shard-scaling"]):
+class DiesOnceWorkload(SCENARIOS["shard-scaling"]):
     """The worker owning node ``(1, 1)`` calls ``os._exit`` once
     mid-epoch, while the supervisor awaits its reply.
 
@@ -324,7 +363,7 @@ class TestSupervisedReplyWait:
         still the oracle's."""
         monkeypatch.setattr("repro.shard.supervisor.outbox_digest",
                             lambda outbox: "0" * 16)
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 3, 1))
         counters, _, stats = run_sharded(cls(42, "tiny"), 2,
@@ -351,7 +390,7 @@ class TestSupervisedReplyWait:
 
         monkeypatch.setattr(ShardSupervisor, "_revive",
                             revive_then_kill_once)
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         base_counters, base_work = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("stall", 1, 0),
                                barrier_deadline_s=0.3)
@@ -464,7 +503,7 @@ class TestOutboxDigest:
 
 class TestRecoveryObservability:
     def test_recovered_run_keeps_metrics_digest(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         _, _, clean = run_sharded(cls(42, "tiny"), 2, backend="inline",
                                   obs=True)
         config = _fault_config(Fault("kill", 2, 1))
@@ -474,7 +513,7 @@ class TestRecoveryObservability:
         assert merged.metrics_digest() == clean["obs"].metrics_digest()
 
     def test_restart_lands_in_flight_and_spans(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         config = _fault_config(Fault("kill", 2, 1))
         _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="mp",
                                   obs=True, recovery=config)
@@ -489,7 +528,7 @@ class TestRecoveryObservability:
         assert {"shard.restart", "shard.replay"} <= names
 
     def test_recovery_gauges_in_merged_registry(self):
-        cls = SHARD_WORKLOADS["shard-scaling"]
+        cls = SCENARIOS["shard-scaling"]
         config = _fault_config(Fault("kill", 2, 0))
         _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="mp",
                                   obs=True, recovery=config)

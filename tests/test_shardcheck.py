@@ -554,13 +554,10 @@ class TestSanitizeRuns:
         with pytest.raises(ValueError):
             run_sanitized("event-loop", scale="tiny", against="what")
 
-    def test_obs_against_unshardable_fails_before_any_run(self,
-                                                          monkeypatch):
-        """Regression: the shardable check used to fire only in run B,
-        after run A had already run and been taped."""
-        monkeypatch.setattr(harness, "run_scenario", _no_run)
-        with pytest.raises(ValueError, match="shardable"):
-            run_sanitized("event-loop", scale="tiny", against="obs")
+    def test_obs_against_single_replica_scenario_is_clean(self):
+        report = run_sanitized("event-loop", scale="tiny", against="obs")
+        assert report.ok, report.render()
+        assert report.digest_a == report.digest_b
 
 
 class TestSanitizeCli:
@@ -582,11 +579,10 @@ class TestSanitizeCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True and doc["against"] == "obs"
 
-    def test_obs_against_unshardable_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "run_scenario", _no_run)
+    def test_obs_against_single_replica_scenario_exits_0(self, capsys):
         assert cli_main(["sanitize", "event-loop", "--scale", "tiny",
-                         "--against", "obs"]) == 2
-        assert "shardable" in capsys.readouterr().err
+                         "--against", "obs"]) == 0
+        assert "tapes identical" in capsys.readouterr().out
 
     def test_all_rejects_inject_and_against(self, monkeypatch, capsys):
         """``--all`` runs one taped pass per scenario with no B run, so

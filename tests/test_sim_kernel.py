@@ -585,8 +585,9 @@ class TestHorizonPauseResume:
         """Slicing a macro-scenario's horizon into awkward epochs
         reproduces the monolithic counters bit-for-bit."""
         from repro.perf.scenarios import SCENARIOS
-        fn, _ = SCENARIOS["shuttle-storm"]
-        mono, _work = fn(42, "tiny")
+        from repro.shard import run_single
+        scenario = SCENARIOS["shuttle-storm"]
+        mono, _work = run_single(scenario(42, "tiny"))
 
         orig_run = Simulator.run
 
@@ -601,7 +602,7 @@ class TestHorizonPauseResume:
 
         Simulator.run = sliced_run
         try:
-            sliced, _work = fn(42, "tiny")
+            sliced, _work = run_single(scenario(42, "tiny"))
         finally:
             Simulator.run = orig_run
         assert sliced == mono
