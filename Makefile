@@ -47,18 +47,24 @@ bench-smoke:
 	@echo "bench-smoke: digests match baseline, throughput in budget"
 
 # Sharded-execution gate: run every shardable scenario partitioned
-# across 2 worker processes and require byte-identical digests against
-# the committed single-shard baseline (digests never include
-# workers/backend, so the same anchor gates both).  Throughput is not
-# the point here — CI runners may be single-core — so the regression
-# threshold is slack; the digest check stays hard.
+# into 2 shards on both backends — forked worker processes, then the
+# in-process replicas of the inline oracle — and require byte-identical
+# digests against the committed single-shard baseline (digests never
+# include workers/backend, so the same anchor gates both).  Throughput
+# is not the point here — CI runners may be single-core — so the
+# regression threshold is slack; the digest check stays hard.
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m repro bench \
 		shuttle-storm jet-flood shard-scaling \
 		--workers 2 --backend mp --seed 42 --scale short \
 		--out /tmp/bench-parallel \
 		--compare BENCH_baseline.json --fail-over 90
-	@echo "bench-parallel: 2-shard digests byte-identical to the single-shard baseline"
+	PYTHONPATH=src $(PYTHON) -m repro bench \
+		shuttle-storm jet-flood shard-scaling \
+		--workers 2 --backend inline --seed 42 --scale short \
+		--out /tmp/bench-parallel-inline \
+		--compare BENCH_baseline.json --fail-over 90
+	@echo "bench-parallel: 2-shard digests on both backends byte-identical to the single-shard baseline"
 
 # Regenerate the committed baseline.  The committed file was recorded
 # by the reference paths the optimizations replaced, which now live in
@@ -165,21 +171,26 @@ chaos-smoke:
 	@echo "chaos-smoke: invariants held"
 
 # Fault-tolerant sharding gate (every mp run is supervised; the
-# supervised digests themselves are gated by bench-parallel): SIGKILL
-# a shard worker mid-run (the worker-kill campaign asserts the
-# recovered 2-shard digest equals the fault-free single-shard digest
-# and that a restart actually happened), SIGSTOP one (the worker-stall
-# campaign drives the missed reply deadline through the bounded reply
-# wait, the kill of the stalled process and its replay), then spend
-# the restart budget (the worker-budget-exhausted campaign asserts the
-# run degrades to inline with the same digest).  A workload exception
-# is not a death: it is raised at once, without a restart.  Recovery
-# must be invisible where determinism is judged.
+# supervised digests themselves are gated by bench-parallel), one leg
+# per fault kind and one for the budget: SIGKILL a shard worker before
+# an epoch send (the worker-kill campaign asserts the recovered 2-shard
+# digest equals the fault-free single-shard digest and that a restart
+# actually happened), SIGSTOP one (the worker-stall campaign drives the
+# missed reply deadline through the bounded reply wait, the kill of the
+# stalled process and its replay), SIGKILL one after its barrier reply
+# (the worker-kill-during-handoff campaign finds the death at the next
+# send and replays through a half-exchanged barrier), then spend the
+# restart budget (the worker-budget-exhausted campaign asserts the run
+# degrades to inline with the same digest).  A workload exception is
+# not a death: it is raised at once, without a restart.  Recovery must
+# be invisible where determinism is judged.
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-kill \
 		--seed 7
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-stall \
 		--seed 7
+	PYTHONPATH=src $(PYTHON) -m repro chaos \
+		--campaign worker-kill-during-handoff --seed 7
 	PYTHONPATH=src $(PYTHON) -m repro chaos \
 		--campaign worker-budget-exhausted --seed 7
 	@echo "recovery-smoke: digest-identical recovery and degradation"

@@ -344,7 +344,7 @@ def cmd_verify(args) -> int:
 def cmd_chaos(args) -> int:
     import json as _json
 
-    from .resilience import CAMPAIGNS, run_campaign
+    from .resilience import CAMPAIGNS, WorkerFaultCampaign, run_campaign
 
     if args.list:
         for name, campaign in sorted(CAMPAIGNS.items()):
@@ -355,11 +355,15 @@ def cmd_chaos(args) -> int:
         print(f"chaos: unknown campaign {args.campaign!r} (known: {known})",
               file=sys.stderr)
         return 2
-    results = [run_campaign(args.campaign, seed=args.seed,
-                            arq=not args.no_arq)]
-    if args.compare:
-        results.append(run_campaign(args.campaign, seed=args.seed,
-                                    arq=args.no_arq))
+    legs = [not args.no_arq] + ([args.no_arq] if args.compare else [])
+    if not all(legs) \
+            and isinstance(CAMPAIGNS[args.campaign], WorkerFaultCampaign):
+        print(f"chaos: {args.campaign} kills shard workers and has no "
+              "arq-off run; --no-arq and --compare do not apply",
+              file=sys.stderr)
+        return 2
+    results = [run_campaign(args.campaign, seed=args.seed, arq=arq)
+               for arq in legs]
     if args.flight_out:
         flight = results[0].flight
         with open(args.flight_out, "w", encoding="utf-8") as fh:

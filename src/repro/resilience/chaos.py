@@ -396,7 +396,7 @@ class WorkerFaultCampaign:
         self.max_restarts = int(max_restarts)
         self.barrier_deadline_s = float(barrier_deadline_s)
 
-    def run(self, seed: int = 0, arq: bool = True,
+    def run(self, seed: int = 0,
             observability: bool = True) -> CampaignResult:
         from ..perf.digest import run_digest
         from ..shard import (Fault, FaultPlan, RecoveryConfig,
@@ -462,7 +462,7 @@ class WorkerFaultCampaign:
         merged = stats.get("obs")
         if merged is not None:
             flight = list(merged.flight_records)
-        return CampaignResult(self.name, seed, arq, counts, invariants,
+        return CampaignResult(self.name, seed, True, counts, invariants,
                               flight=flight, recovery=recovery)
 
     def __repr__(self) -> str:
@@ -616,7 +616,7 @@ CAMPAIGNS.update({c.name: c for c in [
     WorkerFaultCampaign(
         "worker-kill-during-handoff",
         "SIGKILL a worker after its barrier reply — mid-handoff, with "
-        "its outbox already routed — so the death is detected at the "
+        "its outbox already shipped — so the death is detected at the "
         "next epoch send and the replacement replays into a half-"
         "exchanged barrier.",
         faults=(("kill-after-reply", 2, 1),)),
@@ -631,14 +631,20 @@ CAMPAIGNS.update({c.name: c for c in [
 
 def run_campaign(name: str, seed: int = 0, arq: bool = True,
                  observability: bool = True) -> CampaignResult:
-    """Build, run and judge one named campaign."""
+    """Build, run and judge one named campaign.
+
+    A worker-fault campaign kills processes, not shuttles, so it has no
+    fire-and-forget run: ``arq=False`` raises :class:`ValueError` for
+    one before anything runs."""
     campaign = CAMPAIGNS.get(name)
     if campaign is None:
         known = ", ".join(sorted(CAMPAIGNS))
         raise KeyError(f"unknown campaign {name!r} (known: {known})")
     if isinstance(campaign, WorkerFaultCampaign):
-        return campaign.run(seed=seed, arq=arq,
-                            observability=observability)
+        if not arq:
+            raise ValueError(f"{name} kills shard workers and has no "
+                             "arq-off run")
+        return campaign.run(seed=seed, observability=observability)
     harness = ChaosHarness(campaign, seed=seed, arq=arq,
                            observability=observability)
     return harness.run()

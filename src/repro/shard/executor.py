@@ -1,22 +1,25 @@
 """The conservative epoch-synchronized shard executor.
 
-Two backends behind one API:
+Two backends behind one API, stepping the same replica type
+(:class:`_Replica`) through the same barrier loop (:func:`_run_epochs`):
 
 ``inline``
-    Round-robin over the K shard replicas in one process — the
+    K replicas in the calling process, stepped round-robin — the
     always-available determinism oracle.  Handoff batches take the
     same pickle round-trip the multiprocessing transport uses, so the
     two backends exercise byte-identical semantics.
 ``mp``
-    One forked worker per shard, handoff batches exchanged over pipes,
-    always supervised: :mod:`repro.shard.supervisor` holds both ends of
-    the pipe protocol and revives dead or stalled workers.  Real
-    multi-core speedup; every digest must equal the inline (and the
-    single-shard) run.
+    One forked worker per shard, each holding one replica behind its
+    pipe, always supervised: :mod:`repro.shard.supervisor` holds both
+    ends of the pipe protocol and revives dead or stalled workers.
+    Real multi-core speedup; every digest must equal the inline (and
+    the single-shard) run.
 
-This module keeps the API, the epoch and routing helpers, the one
-per-shard epoch step both backends run (:func:`_advance`) and the
-inline oracle.
+A backend supplies two steps, *exchange* (one epoch on every shard)
+and *collect*; the loop does the rest once: routing, handoff counts,
+the epoch timeline, the partial sum, stats and the telemetry merge.
+Each replica digests its own outbox and times its own epoch, so the
+parent does neither between barriers.
 
 Epoch protocol
 --------------
@@ -39,11 +42,13 @@ does not set ``shardable`` runs at K=1, i.e. :func:`run_single`, where
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+import time
+from typing import (Any, Dict, FrozenSet, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 from .fabric import Handoff, ShardFabric
 from .partition import ShardPlan, partition
-from .recovery import RecoveryConfig
+from .recovery import RecoveryConfig, outbox_digest
 
 NodeId = Hashable
 
@@ -128,32 +133,105 @@ def run_single(workload: ShardWorkload
 
 
 def _run_whole(workload: ShardWorkload, obs: bool):
-    """:func:`run_single` plus the replica's simulator, its telemetry
-    armed after the build when ``obs`` is on."""
-    ctx = workload.build(owned=None)
-    if obs:
-        _arm_obs(ctx, 0)
-    workload.setup(ctx, owned=None)
-    workload.drive(ctx)
-    counters, work = workload.finalize(workload.collect(ctx, owned=None))
-    return counters, work, ctx["sim"]
+    """:func:`run_single` plus the replica's telemetry snapshot
+    (``None`` with ``obs`` off)."""
+    replica = _Replica(workload, None, 0, obs)
+    workload.drive(replica.ctx)
+    partial, snapshot = replica.collect()
+    counters, work = workload.finalize(partial)
+    return counters, work, snapshot
 
 
-def _arm_obs(ctx: Dict[str, Any], shard_index: int):
-    """Enable one replica's observability *after* construction.
+class _Replica:
+    """One shard's replica, the same in both backends: built, armed and
+    set up once, then stepped by :meth:`epoch`, :meth:`replay` and
+    :meth:`collect`.  The inline backend holds K of them in the calling
+    process; an mp worker holds one behind its pipe."""
 
-    Every shard builds the full network, so construction-time
-    emissions would be counted K times if collection started earlier —
-    arming post-build is what makes the merged counter sums
-    K-invariant.  The tracer is rebased onto the shard's disjoint id
-    range so merged spans (and the trace contexts crossing handoff
-    boundaries inside ``packet.meta``) stay globally unambiguous.
-    """
-    from ..obs.snapshot import SHARD_ID_STRIDE
-    obs = ctx["sim"].obs.enable()
-    obs.shard = shard_index
-    obs.tracer.rebase_ids(shard_index * SHARD_ID_STRIDE)
-    return obs
+    __slots__ = ("workload", "owned", "shard_index", "obs", "ctx",
+                 "barriers")
+
+    def __init__(self, workload: ShardWorkload,
+                 owned: Optional[FrozenSet[NodeId]], shard_index: int,
+                 obs: bool):
+        self.workload = workload
+        self.owned = owned
+        self.shard_index = shard_index
+        self.obs = obs
+        self.ctx = workload.build(owned=owned)
+        if obs:
+            # Armed *after* construction: every shard builds the full
+            # network, so construction-time emissions would be counted
+            # K times if collection started earlier — arming post-build
+            # is what makes the merged counter sums K-invariant.  The
+            # tracer is rebased onto the shard's disjoint id range so
+            # merged spans (and the trace contexts crossing handoff
+            # boundaries inside ``packet.meta``) stay globally
+            # unambiguous.
+            from ..obs.snapshot import SHARD_ID_STRIDE
+            sim_obs = self.ctx["sim"].obs.enable()
+            sim_obs.shard = shard_index
+            sim_obs.tracer.rebase_ids(shard_index * SHARD_ID_STRIDE)
+        workload.setup(self.ctx, owned=owned)
+        self.barriers = 0
+
+    def epoch(self, epoch_end: float, batch_bytes: bytes
+              ) -> Tuple[List[Handoff], int, float, str]:
+        """Inject the pickled batch routed here at the previous
+        barrier, run to ``epoch_end`` and drain the outbox.  Returns
+        ``(outbox, events_executed, cpu_s, digest)``: the process CPU
+        this step took, digest included, and the outbox fingerprint
+        the supervisor journals for replay checks."""
+        t0 = time.process_time()  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
+        sim, fabric = self.ctx["sim"], self.ctx["fabric"]
+        fabric.inject(pickle.loads(batch_bytes))
+        sim.run(until=epoch_end)
+        if sim.obs.on:
+            sim.obs.shard_barriers.inc()
+            if sim._flight is not None:
+                sim._flight.note("barrier", epoch_end,
+                                 f"epoch#{self.barriers}")
+        self.barriers += 1
+        outbox = fabric.drain_outbox()
+        digest = outbox_digest(outbox)
+        cpu_s = time.process_time() - t0  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
+        return outbox, sim.events_executed, cpu_s, digest
+
+    def replay(self, entries: List[Tuple[float, bytes, Optional[str]]]
+               ) -> Tuple[int, int]:
+        """Fast-forward a replacement replica through the journaled
+        ``(epoch_end, batch_bytes, expected_digest)`` history with the
+        same step, discarding each outbox — the replica it replaces
+        already shipped those handoffs.  Returns ``(replayed,
+        mismatches)``: an outbox whose digest differs from the
+        journaled one is a replay that diverged, caught here rather
+        than at the final digest."""
+        mismatches = 0
+        for epoch_end, batch_bytes, expected in entries:
+            digest = self.epoch(epoch_end, batch_bytes)[3]
+            if expected is not None and digest != expected:
+                mismatches += 1
+        sim = self.ctx["sim"]
+        if sim.obs.on:
+            sim.obs.shard_worker_restarts.inc()
+            if entries:
+                sim.obs.recovery_replay_epochs.inc(len(entries))
+            if sim._flight is not None:
+                sim._flight.note("replay", sim.now,
+                                 f"replayed {len(entries)} epoch(s)",
+                                 mismatches=mismatches)
+        return len(entries), mismatches
+
+    def collect(self) -> Tuple[Dict[str, Any], Any]:
+        """The shard's summable partial and, with ``obs`` on, its
+        :class:`~repro.obs.snapshot.ObsSnapshot` (else ``None``)."""
+        partial = self.workload.collect(self.ctx, self.owned)
+        snapshot = None
+        if self.obs:
+            from ..obs.snapshot import ObsSnapshot
+            snapshot = ObsSnapshot.capture(self.ctx["sim"].obs,
+                                           shard=self.shard_index)
+        return partial, snapshot
 
 
 def run_sharded(workload: ShardWorkload, workers: int,
@@ -200,11 +278,10 @@ def run_sharded(workload: ShardWorkload, workers: int,
             "reason": ("k=1" if plan is None or plan.k <= 1
                        else "zero-lookahead"),
         }
-        counters, work, sim = _run_whole(workload, obs)
+        counters, work, snapshot = _run_whole(workload, obs)
         if obs:
-            from ..obs.snapshot import ObsSnapshot, merge_snapshots
-            stats["obs"] = merge_snapshots(
-                [ObsSnapshot.capture(sim.obs, shard=0)])
+            from ..obs.snapshot import merge_snapshots
+            stats["obs"] = merge_snapshots([snapshot])
         return counters, work, stats
     if backend == "mp":
         from .supervisor import run_supervised
@@ -238,7 +315,7 @@ def _epoch_ends(horizon: float, lookahead: float) -> List[float]:
 
 
 def _route(plan: ShardPlan,
-           outboxes: List[List[Handoff]]) -> Dict[int, List[Handoff]]:
+           outboxes: Sequence[List[Handoff]]) -> Dict[int, List[Handoff]]:
     """Merge per-shard outboxes into per-destination injection batches
     in canonical ``(time, source shard, send order)`` order."""
     tagged = []
@@ -253,7 +330,7 @@ def _route(plan: ShardPlan,
     return batches
 
 
-def _sum_partials(partials: List[Dict[str, Any]]) -> Dict[str, Any]:
+def _sum_partials(partials: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     totals: Dict[str, Any] = {}
     for partial in partials:
         for key, value in partial.items():
@@ -261,88 +338,86 @@ def _sum_partials(partials: List[Dict[str, Any]]) -> Dict[str, Any]:
     return totals
 
 
-def _advance(ctx: Dict[str, Any], batch: List[Handoff], epoch_end: float,
-             barrier: int) -> None:
-    """One shard's epoch step, the same in every backend: inject the
-    handoffs routed to it at the previous barrier, run to
-    ``epoch_end`` and count barrier ordinal ``barrier``."""
-    sim = ctx["sim"]
-    ctx["fabric"].inject(batch)
-    sim.run(until=epoch_end)
-    if sim.obs.on:
-        sim.obs.shard_barriers.inc()
-        if sim._flight is not None:
-            sim._flight.note("barrier", epoch_end, f"epoch#{barrier}")
-
-
 # ----------------------------------------------------------------------
-# inline backend (the determinism oracle)
+# the one barrier loop, and the inline backend (the determinism oracle)
 # ----------------------------------------------------------------------
 
-def _run_inline(workload: ShardWorkload, plan: ShardPlan, obs: bool = False
+def _run_epochs(workload: ShardWorkload, plan: ShardPlan, backend: str,
+                obs: bool, exchange, collect
                 ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-    import time
-    shards = []
-    for shard_index in range(plan.k):
-        owned = frozenset(plan.shards[shard_index])
-        ctx = workload.build(owned=owned)
-        if obs:
-            _arm_obs(ctx, shard_index)
-        workload.setup(ctx, owned=owned)
-        shards.append((owned, ctx))
+    """Drive ``plan``'s shards through every epoch, for either backend.
+
+    ``exchange(epoch, epoch_end, batches)`` steps every shard through
+    one epoch, injecting ``batches`` (destination shard -> the handoffs
+    routed to it at the previous barrier), and returns each shard's
+    :meth:`_Replica.epoch` reply plus the wall seconds spent waiting
+    for them; ``collect(epochs, horizon)`` returns each shard's
+    :meth:`_Replica.collect` reply.  Worker CPU is the sum of the
+    replicas' per-epoch CPU.
+    """
     handoffs = 0
-    barriers = 0
+    stall_s = 0.0
     worker_cpu_s = [0.0] * plan.k
     epoch_records: List[Dict[str, Any]] = []
     prev_events = [0] * plan.k
     epoch_start = 0.0
     batches: Dict[int, List[Handoff]] = {}
-    for epoch_end in _epoch_ends(workload.horizon(), plan.lookahead):
-        epoch_cpu = [0.0] * plan.k
-        for shard_index, (_, ctx) in enumerate(shards):
-            t0 = time.process_time()  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
-            _advance(ctx, batches.get(shard_index, []), epoch_end, barriers)
-            epoch_cpu[shard_index] = time.process_time() - t0  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
-            worker_cpu_s[shard_index] += epoch_cpu[shard_index]
-        # The same wire format the mp transport uses, so inline is an
-        # exact oracle for pickled handoff semantics.
-        batches = {dest: pickle.loads(pickle.dumps(batch))
-                   for dest, batch in _route(
-                       plan, [ctx["fabric"].drain_outbox()
-                              for _, ctx in shards]).items()}
+    ends = _epoch_ends(workload.horizon(), plan.lookahead)
+    for epoch, epoch_end in enumerate(ends):
+        replies, epoch_stall = exchange(epoch, epoch_end, batches)
+        outboxes, events, epoch_cpu, _ = zip(*replies)
+        batches = _route(plan, outboxes)
         epoch_handoffs = sum(len(b) for b in batches.values())
         handoffs += epoch_handoffs
+        stall_s += epoch_stall
+        worker_cpu_s = [t + c for t, c in zip(worker_cpu_s, epoch_cpu)]
         if obs:
             from ..obs.timeline import make_epoch_record
-            events = [ctx["sim"].events_executed for _, ctx in shards]
             epoch_records.append(make_epoch_record(
-                barriers, epoch_start, epoch_end, epoch_handoffs,
-                [e - p for e, p in zip(events, prev_events)], epoch_cpu))
+                epoch, epoch_start, epoch_end, epoch_handoffs,
+                [e - p for e, p in zip(events, prev_events)], epoch_cpu,
+                epoch_stall))
             prev_events = events
-        barriers += 1
         epoch_start = epoch_end
-    partials = [workload.collect(ctx, owned) for owned, ctx in shards]
+    partials, snapshots = zip(*collect(len(ends), epoch_start))
     counters, work = workload.finalize(_sum_partials(partials))
-    stats = _stats(plan, "inline", barriers, handoffs,
+    stats = _stats(plan, backend, len(ends), handoffs,
                    [p.get("events_executed", 0) for p in partials],
-                   worker_cpu_s)
+                   worker_cpu_s, stall_s)
     if obs:
-        from ..obs.snapshot import ObsSnapshot, merge_snapshots
-        merged = merge_snapshots(
-            [ObsSnapshot.capture(ctx["sim"].obs, shard=i)
-             for i, (_, ctx) in enumerate(shards)])
+        from ..obs.snapshot import merge_snapshots
+        merged = merge_snapshots(snapshots)
         merged.add_epochs(epoch_records)
-        merged.add_shard_stats(worker_cpu_s, 0.0)
+        merged.add_shard_stats(worker_cpu_s, stall_s)
         stats["obs"] = merged
     return counters, work, stats
 
 
+def _run_inline(workload: ShardWorkload, plan: ShardPlan, obs: bool = False
+                ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
+    """The inline backend: K replicas of the caller's own ``workload``
+    instance, stepped in shard order in this process."""
+    replicas = [_Replica(workload, frozenset(shard), shard_index, obs)
+                for shard_index, shard in enumerate(plan.shards)]
+
+    def exchange(epoch, epoch_end, batches):
+        # The same wire format the mp transport uses, so inline is an
+        # exact oracle for pickled handoff semantics.
+        return [replica.epoch(epoch_end, pickle.dumps(batches.get(i, [])))
+                for i, replica in enumerate(replicas)], 0.0
+
+    def collect(epochs, horizon):
+        return [replica.collect() for replica in replicas]
+
+    return _run_epochs(workload, plan, "inline", obs, exchange, collect)
+
+
 def _stats(plan: ShardPlan, backend: str, barriers: int, handoffs: int,
-           shard_events: List[int],
-           worker_cpu_s: Optional[List[float]] = None) -> Dict[str, Any]:
-    top = max(shard_events) if shard_events else 0
-    mean = (sum(shard_events) / len(shard_events)) if shard_events else 0
-    stats = {
+           shard_events: List[int], worker_cpu_s: List[float],
+           barrier_stall_s: float) -> Dict[str, Any]:
+    top = max(shard_events)
+    mean = sum(shard_events) / len(shard_events)
+    return {
         "mode": "sharded",
         "backend": backend,
         "k": plan.k,
@@ -356,13 +431,13 @@ def _stats(plan: ShardPlan, backend: str, barriers: int, handoffs: int,
         "shard_events": shard_events,
         #: max/mean events per shard — 1.0 is a perfectly level load.
         "imbalance": round(top / mean, 4) if mean else 1.0,
-    }
-    if worker_cpu_s:
         # Per-worker compute seconds.  max() is the critical path: on a
         # host with >= K idle cores, wall clock converges to it (plus
         # barrier overhead), so single_wall / max_worker_cpu_s is the
         # measured parallel speedup independent of how many cores the
         # *measuring* host happens to have.
-        stats["worker_cpu_s"] = [round(t, 6) for t in worker_cpu_s]
-        stats["max_worker_cpu_s"] = round(max(worker_cpu_s), 6)
-    return stats
+        "worker_cpu_s": [round(t, 6) for t in worker_cpu_s],
+        "max_worker_cpu_s": round(max(worker_cpu_s), 6),
+        #: Host wall seconds spent waiting at barriers (0 inline).
+        "barrier_stall_s": round(barrier_stall_s, 6),
+    }

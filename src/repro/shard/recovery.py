@@ -202,7 +202,9 @@ class FaultPlan:
     The supervisor applies faults itself (it owns the ``Process``
     handles), at exact protocol points — before the epoch send for
     ``kill``/``stall``, after the reply for ``kill-after-reply`` — so a
-    campaign's fault timeline is reproducible run over run.
+    campaign's fault timeline is reproducible run over run.  Each run
+    resolves and fires its own copy of the schedule, so one plan can be
+    reused: the caller's plan is never mutated.
     """
 
     __slots__ = ("faults",)
@@ -318,9 +320,6 @@ class EpochJournal:
         """Live journal footprint: the pickled injection batches."""
         return sum(len(b) for entry in self.entries.values()
                    for b in entry.batch_bytes)
-
-    def close(self) -> None:
-        self.entries.clear()
 
     def __repr__(self) -> str:
         return (f"<EpochJournal k={self.k} epochs={len(self.entries)} "

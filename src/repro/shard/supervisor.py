@@ -2,13 +2,16 @@
 
 Every ``run_sharded(..., backend="mp")`` runs here, and this module
 holds both ends of the pipe protocol: :func:`_worker_main` serves one
-shard per forked process, and :class:`ShardSupervisor` drives the
-epoch barriers, wrapping every protocol step in supervision:
+shard's :class:`~repro.shard.executor._Replica` per forked process,
+and :class:`ShardSupervisor` supplies the two backend steps of the
+executor's one barrier loop (:func:`~repro.shard.executor._run_epochs`),
+wrapping every protocol step in supervision:
 
 * every epoch's injection batches are journaled *before* the send
   (:class:`~repro.shard.recovery.EpochJournal`) and the journaled bytes
-  are what the epoch message carries; every worker's outbox digest is
-  journaled as its reply arrives;
+  are what the epoch message carries; each worker digests its own
+  outbox, and the digest its reply carries is journaled as the reply
+  arrives;
 * worker death (exitcode sentinel / EOF / broken pipe) and stall
   (missed per-barrier reply deadline) are detected, the dead process is
   reaped, and a replacement is forked after a seeded exponential
@@ -32,7 +35,8 @@ by the supervisor itself at exact protocol points, so chaos campaigns
 are reproducible: ``kill`` lands right before the epoch send (death
 detected immediately), ``stall`` suspends the worker so the reply
 deadline trips, ``kill-after-reply`` lands between barriers (death
-detected at the next send or at collect).
+detected at the next send or at collect).  Each run fires its own
+resolved copy of the plan.
 
 With ``obs`` on, the supervisor keeps its own flight recorder and span
 tracer (shard id ``K``, span ids rebased past every worker's range) so
@@ -49,14 +53,13 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .executor import (ShardWorkload, _advance, _arm_obs, _epoch_ends,
-                       _route, _run_inline, _stats, _sum_partials)
+from .executor import (ShardWorkload, _epoch_ends, _Replica,
+                       _run_epochs, _run_inline)
 from .partition import ShardPlan
 from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
-                       EpochJournal, RecoveryConfig,
+                       EpochJournal, Fault, FaultPlan, RecoveryConfig,
                        RestartBudgetExhausted, ShardWorkerCrash,
-                       ShardWorkerError, ShardWorkerTimeout,
-                       outbox_digest)
+                       ShardWorkerError, ShardWorkerTimeout)
 
 
 # ----------------------------------------------------------------------
@@ -85,81 +88,25 @@ class _WorkerFailure:
 
 def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                  shard_index: int, obs: bool = False) -> None:
-    """One shard in its own process: build, then serve the barrier
-    protocol.  ``("epoch", epoch_end, batch_bytes)`` injects the
-    journaled batch, runs to the epoch end and returns the outbox plus
-    the running event/CPU counters the epoch timeline needs;
-    ``("collect",)`` returns the shard's partial and, with ``obs`` on,
-    its full :class:`~repro.obs.snapshot.ObsSnapshot`.
-
-    A ``("replay", entries)`` message (sent to a freshly forked
-    replacement) fast-forwards this replica through the journaled epoch
-    history with the same step, and *discards* each outbox — the
-    original worker already shipped those handoffs before it died.
-    Each discarded outbox is fingerprinted against its journaled
-    partial digest (when one was recorded), so a replay that diverged
-    is detected at the worker, not at the final digest.
+    """One shard in its own process: a :class:`~repro.shard.executor.
+    _Replica` behind the pipe.  Each ``(kind, *args)`` message calls the
+    replica's ``epoch``, ``replay`` or ``collect`` step with ``args``
+    and sends its reply back; ``("quit",)`` ends the loop.
 
     A workload exception is sent back as a :class:`_WorkerFailure`, and
     the pipe is held open until the parent hangs up, so the parent
     reads the failure rather than a broken pipe."""
     try:
-        workload = pickle.loads(workload_bytes)
-        owned = frozenset(plan.shards[shard_index])
-        ctx = workload.build(owned=owned)
-        if obs:
-            _arm_obs(ctx, shard_index)
-        workload.setup(ctx, owned=owned)
-        sim, fabric = ctx["sim"], ctx["fabric"]
-        cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-        barriers = 0
+        replica = _Replica(pickle.loads(workload_bytes),
+                           frozenset(plan.shards[shard_index]),
+                           shard_index, obs)
+        steps = {"epoch": replica.epoch, "replay": replica.replay,
+                 "collect": replica.collect}
         while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "epoch":
-                _, epoch_end, batch_bytes = message
-                _advance(ctx, pickle.loads(batch_bytes), epoch_end,
-                         barriers)
-                barriers += 1
-                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-                conn.send((fabric.drain_outbox(), sim.events_executed,
-                           cpu_s))
-            elif kind == "replay":
-                # Recovery's own digest, not this module's name: the
-                # replacement checks the journal independently of how
-                # the parent fingerprinted it (a test substitutes the
-                # parent's to plant a divergence).
-                from .recovery import outbox_digest
-                _, entries = message
-                mismatches = 0
-                for epoch_end, batch_bytes, expected in entries:
-                    _advance(ctx, pickle.loads(batch_bytes), epoch_end,
-                             barriers)
-                    barriers += 1
-                    outbox = fabric.drain_outbox()
-                    if expected is not None \
-                            and outbox_digest(outbox) != expected:
-                        mismatches += 1
-                if sim.obs.on:
-                    sim.obs.shard_worker_restarts.inc()
-                    if entries:
-                        sim.obs.recovery_replay_epochs.inc(len(entries))
-                    if sim._flight is not None:
-                        sim._flight.note(
-                            "replay", sim.now,
-                            f"replayed {len(entries)} epoch(s)",
-                            mismatches=mismatches)
-                conn.send(("replayed", len(entries), mismatches))
-            elif kind == "collect":
-                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-                snapshot = None
-                if obs:
-                    from ..obs.snapshot import ObsSnapshot
-                    snapshot = ObsSnapshot.capture(sim.obs,
-                                                   shard=shard_index)
-                conn.send((workload.collect(ctx, owned), cpu_s, snapshot))
-            else:  # "quit"
+            kind, *args = conn.recv()
+            if kind == "quit":
                 return
+            conn.send(steps[kind](*args))
     except Exception as exc:
         try:
             conn.send(_WorkerFailure(exc))
@@ -240,7 +187,15 @@ class ShardSupervisor:
         self.backoff_s = 0.0
         # barrier position (for error attribution)
         self.epoch = 0
-        self._prev_cpu = [0.0] * plan.k
+        # This run's own copy of the fault schedule, negative barriers
+        # resolved against its epoch count: the caller's plan is never
+        # mutated, so one config injects the same faults on every run.
+        self.faults = FaultPlan([Fault(f.kind, f.barrier, f.shard)
+                                 for f in (config.faults.faults
+                                           if config.faults is not None
+                                           else ())])
+        self.faults.normalize(
+            len(_epoch_ends(workload.horizon(), plan.lookahead)))
         # parent-plane telemetry
         self.flight = None
         self.tracer = None
@@ -293,10 +248,6 @@ class ShardSupervisor:
             if worker is not None:
                 self._reap(worker)
         self.workers = [None] * self.plan.k
-
-    def close(self) -> None:
-        self.shutdown()
-        self.journal.close()
 
     # -- protocol primitives ----------------------------------------------
     def _await(self, worker: _Worker, deadline_s: float,
@@ -407,7 +358,7 @@ class ShardSupervisor:
                 self.crashes += 1
                 reason = "replay-send-failed"
                 continue
-            _, replayed, mismatches = ack
+            replayed, mismatches = ack
             self.replayed_epochs += replayed
             self.digest_mismatches += mismatches
             self._note("replay", barrier_time,
@@ -418,8 +369,6 @@ class ShardSupervisor:
                 replay_span.attrs["mismatches"] = mismatches
             if span is not None:
                 span.finish(barrier_time)
-            # The replacement's CPU clock starts over.
-            self._prev_cpu[shard_index] = 0.0
             return worker
 
     def _revive_dead(self, upto_epoch: int, barrier_time: float) -> None:
@@ -434,144 +383,82 @@ class ShardSupervisor:
                              "died-between-barriers", barrier_time)
 
     # -- fault injection ---------------------------------------------------
-    def _fault_targets(self, fault) -> Optional[_Worker]:
-        if not (0 <= fault.shard < self.plan.k):
-            return None
-        return self.workers[fault.shard]
-
-    def _apply_pre_faults(self, epoch: int, barrier_time: float) -> None:
-        """``kill`` and ``stall`` faults land at the top of the barrier,
-        before the epoch send — a kill is detected by the pre-send
-        sweep, a stall by the reply deadline."""
-        faults = self.config.faults
-        if faults is None:
-            return
-        for fault in faults.pending(FAULT_KILL, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=10.0)
+    def _apply_faults(self, kinds: Tuple[str, ...], epoch: int,
+                      barrier_time: float) -> None:
+        """Fire this run's unfired faults of ``kinds`` scheduled at
+        ``epoch``: ``stall`` SIGSTOPs the worker, the kill kinds
+        SIGKILL it."""
+        for kind in kinds:
+            for fault in self.faults.pending(kind, epoch):
+                fault.fired = True
+                worker = (self.workers[fault.shard]
+                          if 0 <= fault.shard < self.plan.k else None)
+                if worker is None or not worker.proc.is_alive():
+                    continue
+                if kind == FAULT_STALL:
+                    os.kill(worker.proc.pid, signal.SIGSTOP)
+                else:
+                    worker.proc.kill()
+                    worker.proc.join(timeout=10.0)
                 self._note("fault", barrier_time,
-                           f"SIGKILL shard{fault.shard}", epoch=epoch)
-        for fault in faults.pending(FAULT_STALL, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                os.kill(worker.proc.pid, signal.SIGSTOP)
-                self._note("fault", barrier_time,
-                           f"SIGSTOP shard{fault.shard}", epoch=epoch)
+                           f"{kind} shard{fault.shard}", epoch=epoch)
 
-    def _apply_post_faults(self, epoch: int, barrier_time: float) -> None:
-        """``kill-after-reply`` faults land after the barrier's replies
-        were routed — mid-handoff — and are detected at the next send
-        (or at collect, for the final barrier)."""
-        faults = self.config.faults
-        if faults is None:
-            return
-        for fault in faults.pending(FAULT_KILL_AFTER_REPLY, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=10.0)
-                self._note("fault", barrier_time,
-                           f"SIGKILL-after-reply shard{fault.shard}",
-                           epoch=epoch)
-
-    # -- the supervised barrier loop ---------------------------------------
+    # -- the two backend steps of the barrier loop -------------------------
     def run(self) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-        plan, config = self.plan, self.config
-        ends = _epoch_ends(self.workload.horizon(), plan.lookahead)
-        if config.faults is not None:
-            config.faults.normalize(len(ends))
-        for shard_index in range(plan.k):
+        for shard_index in range(self.plan.k):
             self._spawn(shard_index)
-        handoffs = 0
-        stall_s = 0.0
-        epoch_records: List[Dict[str, Any]] = []
-        prev_events = [0] * plan.k
-        epoch_start = 0.0
-        batches: Dict[int, List[Any]] = {}
-        for epoch, epoch_end in enumerate(ends):
-            self.epoch = epoch
-            self._apply_pre_faults(epoch, epoch_end)
-            self._revive_dead(epoch, epoch_end)
-            messages = [("epoch", epoch_end, batch_bytes)
-                        for batch_bytes in self.journal.record_send(
-                            epoch, epoch_end, batches)]
-            for shard_index, message in enumerate(messages):
-                self._send(shard_index, message, epoch_end, epoch)
-            t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            replies = [self._reply(i, message, epoch_end, epoch)
-                       for i, message in enumerate(messages)]
-            epoch_stall = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            stall_s += epoch_stall
-            outboxes = [reply[0] for reply in replies]
-            for shard_index, outbox in enumerate(outboxes):
-                self.journal.record_digest(epoch, shard_index,
-                                           outbox_digest(outbox))
-            batches = _route(plan, outboxes)
-            handoffs += sum(len(b) for b in batches.values())
-            self._apply_post_faults(epoch, epoch_end)
-            if self.obs:
-                from ..obs.timeline import make_epoch_record
-                events = [reply[1] for reply in replies]
-                cpu = [reply[2] for reply in replies]
-                epoch_records.append(make_epoch_record(
-                    epoch, epoch_start, epoch_end,
-                    sum(len(b) for b in batches.values()),
-                    [e - p for e, p in zip(events, prev_events)],
-                    [max(0.0, c - p)
-                     for c, p in zip(cpu, self._prev_cpu)],
-                    epoch_stall))
-                prev_events = events
-                self._prev_cpu = cpu
-            epoch_start = epoch_end
-        # -- collect phase -------------------------------------------------
-        horizon = ends[-1] if ends else 0.0
-        self.epoch = len(ends)
-        self._revive_dead(len(ends), horizon)
-        for shard_index in range(plan.k):
-            self._send(shard_index, ("collect",), horizon, len(ends))
-        replies = [self._reply(i, ("collect",), horizon, len(ends))
-                   for i in range(plan.k)]
-        partials = [reply[0] for reply in replies]
-        worker_cpu_s = [reply[1] for reply in replies]
-        snapshots = [reply[2] for reply in replies if reply[2] is not None]
+        return _run_epochs(self.workload, self.plan, "mp", self.obs,
+                           self.exchange, self.collect)
+
+    def exchange(self, epoch: int, epoch_end: float,
+                 batches: Dict[int, List[Any]]
+                 ) -> Tuple[List[Tuple], float]:
+        """One supervised epoch on every worker.  ``kill`` and
+        ``stall`` faults land before the send (a kill is found by the
+        pre-send sweep, a stall by the reply deadline); the batches are
+        journaled and the journaled bytes sent; each reply is awaited
+        under the deadline, reviving, replaying and re-sending as the
+        budget allows; each reply's outbox digest is journaled; then
+        ``kill-after-reply`` faults land mid-handoff, to be found at
+        the next send or at collect."""
+        self.epoch = epoch
+        self._apply_faults((FAULT_KILL, FAULT_STALL), epoch, epoch_end)
+        self._revive_dead(epoch, epoch_end)
+        messages = [("epoch", epoch_end, batch_bytes)
+                    for batch_bytes in self.journal.record_send(
+                        epoch, epoch_end, batches)]
+        for shard_index, message in enumerate(messages):
+            self._send(shard_index, message, epoch_end, epoch)
+        t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
+        replies = [self._reply(i, message, epoch_end, epoch)
+                   for i, message in enumerate(messages)]
+        stall_s = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
+        for shard_index, reply in enumerate(replies):
+            self.journal.record_digest(epoch, shard_index, reply[3])
+        self._apply_faults((FAULT_KILL_AFTER_REPLY,), epoch, epoch_end)
+        return replies, stall_s
+
+    def collect(self, epochs: int, horizon: float) -> List[Tuple]:
+        """Every worker's partial and snapshot, after the pre-send
+        sweep (a full-history replay for a worker that died after the
+        final barrier); then every worker is told to quit."""
+        self.epoch = epochs
+        self._revive_dead(epochs, horizon)
+        for shard_index in range(self.plan.k):
+            self._send(shard_index, ("collect",), horizon, epochs)
+        replies = [self._reply(i, ("collect",), horizon, epochs)
+                   for i in range(self.plan.k)]
         for worker in self.workers:
-            if worker is not None:
-                try:
-                    worker.conn.send(("quit",))
-                except (BrokenPipeError, OSError):
-                    pass
-        counters, work = self.workload.finalize(_sum_partials(partials))
-        stats = _stats(plan, "mp", len(ends), handoffs,
-                       [p.get("events_executed", 0) for p in partials],
-                       worker_cpu_s)
-        stats["barrier_stall_s"] = round(stall_s, 6)
-        stats["supervised"] = True
-        recovery = self.recovery_stats()
-        stats["recovery"] = recovery
-        if self.obs and snapshots:
-            from ..obs.snapshot import merge_snapshots
-            merged = merge_snapshots(snapshots)
-            merged.add_epochs(epoch_records)
-            merged.add_shard_stats(worker_cpu_s, stall_s)
-            merged.add_recovery(
-                recovery,
-                flight_records=list(self.flight.to_records(
-                    shard=plan.k)) if self.flight else (),
-                span_records=list(self.tracer.to_records())
-                if self.tracer else ())
-            stats["obs"] = merged
-        return counters, work, stats
+            try:
+                worker.conn.send(("quit",))
+            except (BrokenPipeError, OSError):
+                pass
+        return replies
 
     # -- accounting --------------------------------------------------------
     def recovery_stats(self, degraded: bool = False) -> Dict[str, Any]:
-        faults = self.config.faults
-        fired = ([{"kind": f.kind, "barrier": f.barrier, "shard": f.shard}
-                  for f in faults.faults if f.fired] if faults else [])
+        fired = [{"kind": f.kind, "barrier": f.barrier, "shard": f.shard}
+                 for f in self.faults.faults if f.fired]
         return {
             "enabled": True,
             "worker_restarts": self.restarts,
@@ -618,24 +505,23 @@ def run_supervised(workload: ShardWorkload, plan: ShardPlan,
         stats["supervised"] = True
         return counters, work, stats
     supervisor = ShardSupervisor(workload, plan, obs, config, mp_ctx)
+    degraded = False
     try:
-        return supervisor.run()
+        counters, work, stats = supervisor.run()
     except RestartBudgetExhausted as exc:
         supervisor.shutdown()
         counters, work, stats = _run_inline(workload, plan, obs=obs)
-        recovery_stats = supervisor.recovery_stats(degraded=True)
-        stats["supervised"] = True
-        stats["degraded"] = True
+        stats["degraded"] = degraded = True
         stats["degrade_reason"] = str(exc)
         stats["requested_backend"] = "mp"
-        stats["recovery"] = recovery_stats
-        if obs and "obs" in stats:
-            stats["obs"].add_recovery(
-                recovery_stats,
-                flight_records=list(supervisor.flight.to_records(
-                    shard=plan.k)) if supervisor.flight else (),
-                span_records=list(supervisor.tracer.to_records())
-                if supervisor.tracer else ())
-        return counters, work, stats
     finally:
-        supervisor.close()
+        supervisor.shutdown()
+    stats["supervised"] = True
+    stats["recovery"] = recovery_stats = supervisor.recovery_stats(
+        degraded=degraded)
+    if obs:
+        stats["obs"].add_recovery(
+            recovery_stats,
+            flight_records=list(supervisor.flight.to_records(shard=plan.k)),
+            span_records=list(supervisor.tracer.to_records()))
+    return counters, work, stats

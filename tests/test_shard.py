@@ -277,6 +277,25 @@ class TestExecutor:
                                   backend="inline")
         assert max(stats["worker_cpu_s"]) < 0.3
 
+    def test_mp_worker_cpu_is_process_time(self):
+        _, _, stats = run_sharded(SleepyWorkload(42, "tiny"), 2,
+                                  backend="mp")
+        assert max(stats["worker_cpu_s"]) < 0.3
+
+    @pytest.mark.parametrize("backend", ["inline", "mp"])
+    def test_worker_cpu_is_the_sum_of_epoch_cpu(self, backend):
+        """Both backends book each shard's CPU once, per epoch: the
+        epoch timeline sums to ``worker_cpu_s`` up to its rounding."""
+        cls = SCENARIOS["shard-scaling"]
+        _, _, stats = run_sharded(cls(42, "tiny"), 2, backend=backend,
+                                  obs=True)
+        records = stats["obs"].epoch_records
+        assert len(records) == stats["barriers"]
+        for shard, total in enumerate(stats["worker_cpu_s"]):
+            summed = sum(record["cpu_s"][shard] for record in records)
+            assert summed == pytest.approx(total,
+                                           abs=len(records) * 1e-6)
+
 
 # ----------------------------------------------------------------------
 # generated grid scenarios

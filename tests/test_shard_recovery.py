@@ -360,9 +360,13 @@ class TestSupervisedReplyWait:
     def test_divergent_replay_is_counted(self, monkeypatch):
         """Journal wrong outbox digests in the parent: the replacement's
         replay check flags every replayed epoch, and the counters are
-        still the oracle's."""
-        monkeypatch.setattr("repro.shard.supervisor.outbox_digest",
-                            lambda outbox: "0" * 16)
+        still the oracle's.  The workers compute their digests, so the
+        wrong ones are planted where the parent journals them."""
+        record_digest = EpochJournal.record_digest
+        monkeypatch.setattr(
+            EpochJournal, "record_digest",
+            lambda journal, epoch, shard_index, digest: record_digest(
+                journal, epoch, shard_index, "0" * 16))
         cls = SCENARIOS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
         config = _fault_config(Fault("kill", 3, 1))
@@ -462,6 +466,23 @@ class TestFaultPlan:
         assert len(plan.pending("kill", 2)) == 1
         assert plan.pending("stall", 2) == []
 
+    def test_plan_reused_across_runs_fires_every_run(self):
+        """One config, two runs: each resolves the negative barrier
+        against its own epoch count and fires the fault, and the
+        caller's plan is left as written."""
+        fault = Fault("kill", -2, 1)
+        config = RecoveryConfig(faults=FaultPlan([fault]), **FAST)
+        cls = SCENARIOS["shard-scaling"]
+        recoveries = [run_sharded(cls(42, "tiny"), 2, backend="mp",
+                                  recovery=config)[2]["recovery"]
+                      for _ in range(2)]
+        for rec in recoveries:
+            assert rec["worker_restarts"] == 1
+        assert recoveries[0]["faults_fired"] \
+            == recoveries[1]["faults_fired"] \
+            == [{"kind": "kill", "barrier": 59, "shard": 1}]
+        assert (fault.barrier, fault.fired) == (-2, False)
+
 
 class TestRecoveryConfig:
     def test_validation(self):
@@ -527,6 +548,18 @@ class TestRecoveryObservability:
         names = {r["name"] for r in merged.span_records}
         assert {"shard.restart", "shard.replay"} <= names
 
+    def test_replacement_books_epoch_cpu(self):
+        """A replacement worker reports its own CPU for every epoch it
+        runs after the restart — none reads 0."""
+        cls = SCENARIOS["shard-scaling"]
+        config = _fault_config(Fault("kill", 2, 1))
+        _, _, stats = run_sharded(cls(42, "tiny"), 2, backend="mp",
+                                  obs=True, recovery=config)
+        assert stats["recovery"]["worker_restarts"] == 1
+        records = stats["obs"].epoch_records
+        assert len(records) == stats["barriers"]
+        assert all(record["cpu_s"][1] > 0 for record in records[2:])
+
     def test_recovery_gauges_in_merged_registry(self):
         cls = SCENARIOS["shard-scaling"]
         config = _fault_config(Fault("kill", 2, 0))
@@ -567,3 +600,22 @@ class TestWorkerFaultCampaigns:
         a = run_campaign("worker-kill", seed=11, observability=False)
         b = run_campaign("worker-kill", seed=11, observability=False)
         assert a.digest == b.digest
+
+    def test_arq_off_rejected(self):
+        with pytest.raises(ValueError, match="no arq-off run"):
+            run_campaign("worker-kill", seed=7, arq=False)
+
+    @pytest.mark.parametrize("flag", ["--no-arq", "--compare"])
+    def test_cli_arq_flags_rejected_before_running(self, flag, capsys,
+                                                   monkeypatch):
+        from repro.cli import main
+        from repro.resilience import WorkerFaultCampaign
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(WorkerFaultCampaign, "run", must_not_run)
+        assert main(["chaos", "--campaign", "worker-kill", "--seed", "7",
+                     flag]) == 2
+        assert "--no-arq and --compare do not apply" \
+            in capsys.readouterr().err
