@@ -74,8 +74,12 @@ bench-baseline:
 		--scale short --repeats 3 --out /tmp/bench-baseline \
 		--combined BENCH_baseline.json
 
-# Tiny instrumented demo: the JSONL must be non-empty, parseable, and
-# renderable by `repro report`.
+# Observability gate, two legs.  A tiny instrumented demo: its JSONL
+# (one simulator's K=1 merged view) must be non-empty, parseable and
+# renderable by `repro obs report`.  The smoke campaign's black box:
+# its flight ring must hold the kernel events the observation hook
+# notes (beside the fabric's deliveries) and render with `repro obs
+# flight`.
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro demo --nodes 6 --until 60 \
 		--obs-out /tmp/obs-smoke.jsonl > /dev/null
@@ -84,8 +88,15 @@ obs-smoke:
 	records = load_jsonl('/tmp/obs-smoke.jsonl'); \
 	assert records and records[0]['type'] == 'meta', records[:1]; \
 	print(f'obs-smoke: {len(records)} records ok')"
-	PYTHONPATH=src $(PYTHON) -m repro report /tmp/obs-smoke.jsonl > /dev/null
+	PYTHONPATH=src $(PYTHON) -m repro obs report /tmp/obs-smoke.jsonl \
+		> /dev/null
 	@echo "obs-smoke: report rendered ok"
+	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign smoke --seed 7 \
+		--flight-out /tmp/obs-smoke-flight.jsonl > /dev/null
+	grep -q '"kind": "event"' /tmp/obs-smoke-flight.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro obs flight \
+		/tmp/obs-smoke-flight.jsonl > /dev/null
+	@echo "obs-smoke: black box written and rendered ok"
 
 # Distributed telemetry gate: a 2-worker mp bench must produce one
 # merged obs artifact whose report renders, with the run digest still

@@ -4,10 +4,8 @@ Commands
 --------
 ``demo``      run a small Wandering Network and print snapshots
               (``--obs-out run.jsonl`` records metrics/spans/profile);
-``report``    render an observability report from an ``--obs-out`` file;
-``obs``       distributed-telemetry views of an ``--obs-out`` artifact:
-              ``report`` (full), ``timeline`` (epoch Gantt), ``flight``
-              (black-box ring);
+``obs``       views of an ``--obs-out`` artifact: ``report`` (full),
+              ``timeline`` (epoch Gantt), ``flight`` (black-box ring);
 ``verify``    model-check the WLI protocol specs (routing x2, jets, docking);
 ``chaos``     run a named chaos campaign and assert its invariants
               (``--flight-out`` dumps the black box of a failing run);
@@ -49,18 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="enable observability (metrics, causal spans, "
                            "kernel profile) and write JSONL records here")
 
-    report = sub.add_parser(
-        "report", help="render the observability report of a recorded run")
-    report.add_argument("path", help="JSONL file written by demo --obs-out")
-    report.add_argument("--top", type=int, default=10,
-                        help="rows per metric table / profiled handlers")
-
     obs = sub.add_parser(
-        "obs", help="distributed-telemetry views of an --obs-out artifact")
+        "obs", help="telemetry views of an --obs-out artifact")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(
-        "report", help="full observability report (alias of `repro "
-                       "report`, plus epoch/flight sections)")
+        "report", help="full observability report (metric tables, kernel "
+                       "profile, span trees, epoch/flight sections)")
     obs_report.add_argument("path", help="JSONL artifact")
     obs_report.add_argument("--top", type=int, default=10)
     obs_timeline = obs_sub.add_parser(
@@ -268,24 +260,11 @@ def cmd_demo(args) -> int:
           f"wander events={len(wn.engine.events)} "
           f"entropy={wn.role_entropy():.3f}")
     if args.obs_out:
-        written = sim.obs.export_jsonl(args.obs_out)
+        from .obs import merge_snapshots
+        written = merge_snapshots([sim.obs.snapshot()]).export_jsonl(
+            args.obs_out)
         print(f"obs: {written} records -> {args.obs_out} "
-              f"(render with `repro report {args.obs_out}`)")
-    return 0
-
-
-def cmd_report(args) -> int:
-    from .obs import load_jsonl, render_report
-
-    try:
-        records = load_jsonl(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 1
-    if not records:
-        print(f"report: {args.path} holds no records", file=sys.stderr)
-        return 1
-    print(render_report(records, top=args.top))
+              f"(render with `repro obs report {args.obs_out}`)")
     return 0
 
 
@@ -707,7 +686,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     handler = {
         "demo": cmd_demo,
-        "report": cmd_report,
         "obs": cmd_obs,
         "verify": cmd_verify,
         "chaos": cmd_chaos,

@@ -8,21 +8,20 @@ One subsystem, three concerns:
 * :class:`SpanTracer` — causal span tracing; shuttles carry a trace
   context across hops so one journey (morphing, transcoding, jet
   fan-out included) renders as a single tree;
-* :class:`KernelProfiler` — per-handler wall time, event-queue depth
-  and events/sec from inside ``Simulator.step``.
+* :class:`KernelProfiler` — per-handler wall time and event-queue
+  depth, accumulated by the kernel's one per-event observation hook.
 
 Every :class:`~repro.substrates.sim.kernel.Simulator` owns an
 :class:`Observability` facade at ``sim.obs`` (disabled by default —
-near-zero overhead); enable with ``sim.obs.enable(profiling=True)``,
-export with ``sim.obs.export_jsonl(path)`` and render with
-``repro report path`` or :func:`render_report`.
+near-zero overhead) that only collects; enable with
+``sim.obs.enable(profiling=True)``.
 
-Distributed runs add the telemetry plane: :class:`ObsSnapshot` /
-:func:`merge_snapshots` fold K worker replicas into one
-:class:`MergedObs` view (``repro bench --workers K --obs-out PATH``),
-:class:`FlightRecorder` keeps a black-box ring of the last N moments
-(``sim.obs.flight(capacity)``), and the epoch timeline renders the
-executor's barrier-by-barrier record as an ASCII Gantt
+One view exports every run: :func:`merge_snapshots` folds K
+:class:`ObsSnapshot` captures into one :class:`MergedObs` — K=1 for
+``merge_snapshots([sim.obs.snapshot()])`` — rendered by ``repro obs
+report PATH``.  :class:`FlightRecorder` keeps a black-box ring of the
+last N moments (``sim.obs.flight(capacity)``), and the epoch timeline
+renders the executor's barrier-by-barrier record as an ASCII Gantt
 (``repro obs timeline PATH``).
 """
 

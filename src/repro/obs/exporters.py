@@ -1,11 +1,12 @@
 """Exporters: JSONL stream, Prometheus-style text, ASCII tables.
 
 Three formats, one source of truth (the flat records produced by
-:meth:`Observability.records`):
+:meth:`~repro.obs.snapshot.MergedObs.records`):
 
-* **JSONL** — one JSON object per line; ``metric`` / ``span`` /
-  ``profile`` / ``kernel`` / ``meta`` record types.  This is the wire
-  format ``repro demo --obs-out`` writes and ``repro report`` reads.
+* **JSONL** — one JSON object per line; ``meta`` / ``metric`` /
+  ``span`` / ``kernel`` / ``profile`` / ``epoch`` / ``flight`` record
+  types.  This is the wire format every ``--obs-out`` writes and
+  ``repro obs report`` reads.
 * **Prometheus text** — ``# HELP`` / ``# TYPE`` / sample lines, close
   enough to the exposition format to paste into promtool.
 * **ASCII** — plain tables through the shared

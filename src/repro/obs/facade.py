@@ -5,8 +5,9 @@ Every :class:`~repro.substrates.sim.kernel.Simulator` owns one
 instrumented stack guards its hot-path calls with ``if obs.on:`` (one
 attribute read and a branch), so a run that never enables observability
 pays near-zero overhead.  ``sim.obs.enable()`` turns on the metrics
-registry and the span tracer; ``enable(profiling=True)`` additionally
-arms the kernel's per-event wall-time hooks.
+registry and the span tracer; ``enable(profiling=True)`` adds the
+kernel profiler.  The facade only collects: a run is exported through
+``merge_snapshots([sim.obs.snapshot()])``, like any sharded run.
 
 The facade pre-declares the *well-known instruments* the hot paths emit
 into, keyed by the MFP dimensions — ship/fabric/routing/selfheal code
@@ -16,15 +17,15 @@ stringly re-declaring families at every call site.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any, Dict, Iterator, Optional
+from time import perf_counter
+from typing import Optional
 
 from .profiler import KernelProfiler
 from .registry import (DEFAULT_BUCKETS, PER_CONFIGURATION, PER_DATA_LINK,
                        PER_MESSAGE, PER_METHOD, PER_MULTICAST_BRANCH,
                        PER_NODE, PER_PACKET, PER_SESSION, MetricsRegistry)
-from .spans import TRACE_META_KEY, SpanTracer
+from .snapshot import registry_digest
+from .spans import SpanTracer
 
 
 class Observability:
@@ -41,8 +42,9 @@ class Observability:
         self.registry: Optional[MetricsRegistry] = None
         self.tracer: Optional[SpanTracer] = None
         self.profiler: Optional[KernelProfiler] = None
-        #: Armed by :meth:`flight`; also mirrored onto ``sim._flight``
-        #: so the kernel hot loop records executed events.
+        #: Armed by :meth:`flight`.  While collection is on, the kernel
+        #: hook notes every executed event here, and the fabric and the
+        #: shard replica note deliveries, drops and barriers.
         self.flight_recorder = None
         #: Shard index when this facade lives inside a worker replica.
         self.shard = 0
@@ -51,7 +53,8 @@ class Observability:
 
     # -- lifecycle ---------------------------------------------------------
     def enable(self, profiling: bool = False) -> "Observability":
-        """Turn collection on (idempotent); optionally arm kernel hooks."""
+        """Turn collection on (idempotent); optionally arm the kernel
+        profiler."""
         if self.registry is None:
             self.registry = MetricsRegistry(max_series=self.max_series)
             self.tracer = SpanTracer(max_spans=self.max_spans)
@@ -60,7 +63,7 @@ class Observability:
         self.on = True
         if profiling:
             self.profiling = True
-            self.sim._profiler = self.profiler
+        self._install_hook()
         return self
 
     def flight(self, capacity: int = 256):
@@ -69,16 +72,16 @@ class Observability:
         crossings, dumpable on demand or on invariant failure (the
         chaos harness's black box).  Implies :meth:`enable`."""
         from .flight import FlightRecorder
-        self.enable()
         if (self.flight_recorder is None
                 or self.flight_recorder.capacity != int(capacity)):
             self.flight_recorder = FlightRecorder(capacity=capacity)
-        self.sim._flight = self.flight_recorder
+        self.enable()
         return self.flight_recorder
 
     def snapshot(self, shard: Optional[int] = None):
         """Picklable capture of the full obs state (see
-        :class:`~repro.obs.snapshot.ObsSnapshot`)."""
+        :class:`~repro.obs.snapshot.ObsSnapshot`); export it with
+        ``merge_snapshots([obs.snapshot()])``."""
         from .snapshot import ObsSnapshot
         return ObsSnapshot.capture(
             self, shard=self.shard if shard is None else shard)
@@ -87,8 +90,37 @@ class Observability:
         """Stop collecting (keeps already-collected data for export)."""
         self.on = False
         self.profiling = False
-        self.sim._profiler = None
-        self.sim._flight = None
+        self._install_hook()
+
+    def _install_hook(self) -> None:
+        """Rebuild the kernel's per-event hook from this facade's state:
+        note the event in an armed flight ring while collecting, and
+        with profiling on, time ``fire()`` and record the agenda depth
+        after it, the depth both run loops report.  ``None`` when there
+        is nothing to observe."""
+        sim = self.sim
+        ring = self.flight_recorder if self.on else None
+        prof = self.profiler if self.profiling else None
+        if ring is None and prof is None:
+            sim._observe = None
+            return
+        note = ring.note if ring is not None else None
+        record = prof.record if prof is not None else None
+        agenda = sim._agenda
+
+        def observe(ev) -> None:
+            name = ev.name or "event"
+            if note is not None:
+                note("event", ev.time, name)
+            if record is None:
+                ev.fire()
+                return
+            t0 = perf_counter()  # via: ignore[VIA003] host wall time is the profiled quantity
+            ev.fire()
+            record(name, t0,
+                   perf_counter(),  # via: ignore[VIA003] host wall time is the profiled quantity
+                   len(agenda) + sim._batch_pending)
+        sim._observe = observe
 
     # -- well-known instruments (MFP dimension -> metric mapping) ----------
     def _declare_instruments(self) -> None:
@@ -263,82 +295,12 @@ class Observability:
         """Bridge for ``TraceBus.emit`` — counts every emitted topic."""
         self.trace_topics.inc(topic=topic)
 
-    def trace_context_of(self, packet) -> Optional[tuple]:
-        meta = getattr(packet, "meta", None)
-        if meta is None:
-            return None
-        return meta.get(TRACE_META_KEY)
-
     # -- digests ------------------------------------------------------------
     def metrics_digest(self) -> str:
-        """Canonical-JSON/sha256 fingerprint of the collected samples
-        (minus :data:`~repro.obs.snapshot.DIGEST_EXCLUDED_PREFIXES`,
-        matching :meth:`MergedObs.metrics_digest` semantics)."""
-        if self.registry is not None:
-            from .snapshot import DIGEST_EXCLUDED_PREFIXES
-            samples = [rec for rec in self.registry.collect()
-                       if not rec["name"].startswith(
-                           DIGEST_EXCLUDED_PREFIXES)]
-        else:
-            samples = []
-        payload = json.dumps(samples, sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    # -- export -------------------------------------------------------------
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Every collected observation as flat dict records."""
-        yield {"type": "meta", "version": 1,
-               "sim_time": self.sim.now,
-               "seed": getattr(self.sim, "seed", None),
-               "events_executed": getattr(self.sim, "events_executed", 0),
-               "dropped_series": (self.registry.dropped_series
-                                  if self.registry else 0),
-               "dropped_spans": (self.tracer.dropped
-                                 if self.tracer else 0)}
-        if self.registry is not None:
-            yield from self.registry.collect()
-            # Obs-about-obs: synthetic records (never live instruments,
-            # so self-measurement cannot move the metrics digest).
-            from .snapshot import _self_metric
-            yield _self_metric("repro_obs_dropped_series_total",
-                               self.registry.dropped_series)
-            yield _self_metric(
-                "repro_obs_trace_subscriber_errors_total",
-                getattr(getattr(self.sim, "trace", None),
-                        "subscriber_errors", 0))
-        if self.tracer is not None:
-            yield from self.tracer.to_records()
-        if self.profiler is not None and self.profiler.events:
-            yield from self.profiler.to_records()
-        if self.flight_recorder is not None:
-            yield from self.flight_recorder.to_records()
-
-    def export_jsonl(self, path: str) -> int:
-        """Write every record as one JSON object per line; returns count."""
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records():
-                fh.write(json.dumps(record, sort_keys=True, default=repr)
-                         + "\n")
-                n += 1
-        return n
-
-    def export_prometheus(self) -> str:
-        from .exporters import to_prometheus_text
-        if self.registry is None:
-            return ""
-        return to_prometheus_text(self.registry, extras=[
-            ("repro_obs_dropped_series_total", "counter",
-             "Series dropped at the cardinality cap.",
-             {}, self.registry.dropped_series),
-            ("repro_obs_trace_subscriber_errors_total", "counter",
-             "TraceBus subscriber exceptions swallowed.",
-             {}, getattr(getattr(self.sim, "trace", None),
-                         "subscriber_errors", 0))])
-
-    def summary_text(self, top: int = 10) -> str:
-        from .report import render_report
-        return render_report(list(self.records()), top=top)
+        """:func:`~repro.obs.snapshot.registry_digest` of the live
+        registry — the fingerprint :meth:`MergedObs.metrics_digest`
+        gives this run's exported view, read without a snapshot."""
+        return registry_digest(self.registry)
 
     def __repr__(self) -> str:
         state = "on" if self.on else "off"

@@ -53,12 +53,6 @@ class FlightRecorder:
         self.entries.append(entry)
         self.recorded += 1
 
-    def note_event(self, t: float, name: Optional[str]) -> None:
-        """Kernel hook: one executed event (cheapest entry shape)."""
-        self.entries.append({"seq": self.recorded, "kind": "event",
-                             "t": t, "what": name or "event"})
-        self.recorded += 1
-
     # -- introspection -----------------------------------------------------
     @property
     def evicted(self) -> int:

@@ -1,22 +1,23 @@
-"""Sim-kernel profiling: per-handler wall time, queue depth, events/sec.
+"""Sim-kernel profiling: per-handler wall time and agenda depth.
 
-The kernel calls :meth:`KernelProfiler.record` once per executed event
-(only when profiling is enabled — the disabled path is a single ``None``
-check in ``Simulator.step``).  Handlers are keyed by the event's
-``name``, which the scheduling helpers default to the callback's
-``__name__`` — so the profile reads as ``_deliver``, ``_fire``,
-``periodic``... directly.
+With profiling on, the kernel's observation hook (installed by
+:class:`~repro.obs.facade.Observability`) times each event's ``fire()``
+with ``time.perf_counter`` and calls :meth:`KernelProfiler.record`.
+Handlers are keyed by the event's ``name``, which the scheduling
+helpers default to the callback's ``__name__`` — so the profile reads
+as ``_deliver``, ``_fire``, ``periodic``... directly.  The profiler
+only accumulates; :meth:`~repro.obs.snapshot.MergedObs.records` turns
+its sums into ``kernel`` and ``profile`` records.
 
-Wall time is *host* time (``time.perf_counter``), deliberately outside
-the simulated clock: profiling answers "where does the simulator spend
-real CPU", which simulated seconds cannot.  The profiler never touches
-simulator state, so enabling it does not perturb a seeded run.
+Wall time is *host* time, deliberately outside the simulated clock:
+profiling answers "where does the simulator spend real CPU", which
+simulated seconds cannot.  The profiler never touches simulator state,
+so enabling it does not perturb a seeded run.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 
 class HandlerStats:
@@ -29,15 +30,6 @@ class HandlerStats:
         self.calls = 0
         self.total_s = 0.0
         self.max_s = 0.0
-
-    @property
-    def mean_us(self) -> float:
-        return (self.total_s / self.calls * 1e6) if self.calls else 0.0
-
-    def to_record(self) -> Dict[str, Any]:
-        return {"type": "profile", "handler": self.name,
-                "calls": self.calls, "total_s": self.total_s,
-                "max_s": self.max_s, "mean_us": self.mean_us}
 
     def __repr__(self) -> str:
         return (f"<HandlerStats {self.name} calls={self.calls} "
@@ -53,18 +45,13 @@ class KernelProfiler:
         self.wall_started: Optional[float] = None
         self.wall_last: Optional[float] = None
         self.max_queue_depth = 0
-        self._depth_sum = 0
+        self.depth_sum = 0
 
-    # -- hot path ----------------------------------------------------------
-    def clock(self) -> float:
-        # Host wall time IS the profiled quantity here; it never feeds
-        # simulation state.
-        if self.wall_started is None:
-            # via: ignore[VIA003] host wall time is the measurement
-            self.wall_started = perf_counter()
-        return perf_counter()  # via: ignore[VIA003] host wall time
-
-    def record(self, name: str, elapsed_s: float, queue_depth: int) -> None:
+    def record(self, name: str, t0: float, t1: float,
+               queue_depth: int) -> None:
+        """One fired event: handler ``name`` ran from host time ``t0``
+        to ``t1`` and left ``queue_depth`` entries on the agenda."""
+        elapsed_s = t1 - t0
         stats = self.handlers.get(name)
         if stats is None:
             stats = self.handlers[name] = HandlerStats(name)
@@ -73,53 +60,20 @@ class KernelProfiler:
         if elapsed_s > stats.max_s:
             stats.max_s = elapsed_s
         self.events += 1
-        self._depth_sum += queue_depth
+        self.depth_sum += queue_depth
         if queue_depth > self.max_queue_depth:
             self.max_queue_depth = queue_depth
-        # via: ignore[VIA003] host wall time IS the profiled quantity
-        self.wall_last = perf_counter()
+        if self.wall_started is None:
+            self.wall_started = t0
+        self.wall_last = t1
 
-    # -- summaries ---------------------------------------------------------
     @property
     def wall_elapsed(self) -> float:
         if self.wall_started is None or self.wall_last is None:
             return 0.0
         return self.wall_last - self.wall_started
 
-    @property
-    def events_per_sec(self) -> float:
-        wall = self.wall_elapsed
-        return self.events / wall if wall > 0 else 0.0
-
-    @property
-    def mean_queue_depth(self) -> float:
-        return self._depth_sum / self.events if self.events else 0.0
-
-    def top(self, n: int = 10) -> List[HandlerStats]:
-        return sorted(self.handlers.values(),
-                      key=lambda h: (-h.total_s, h.name))[:n]
-
-    def summary(self, top: int = 10) -> Dict[str, Any]:
-        return {
-            "events": self.events,
-            "wall_s": self.wall_elapsed,
-            "events_per_sec": self.events_per_sec,
-            "max_queue_depth": self.max_queue_depth,
-            "mean_queue_depth": self.mean_queue_depth,
-            "handlers": [h.to_record() for h in self.top(top)],
-        }
-
-    def to_records(self) -> Iterator[Dict[str, Any]]:
-        yield {"type": "kernel", "events": self.events,
-               "wall_s": self.wall_elapsed,
-               "events_per_sec": self.events_per_sec,
-               "max_queue_depth": self.max_queue_depth,
-               "mean_queue_depth": self.mean_queue_depth}
-        for stats in sorted(self.handlers.values(),
-                            key=lambda h: (-h.total_s, h.name)):
-            yield stats.to_record()
-
     def __repr__(self) -> str:
         return (f"<KernelProfiler events={self.events} "
                 f"handlers={len(self.handlers)} "
-                f"eps={self.events_per_sec:.0f}>")
+                f"wall={self.wall_elapsed:.6f}s>")

@@ -1,7 +1,7 @@
-"""Offline run report: what ``repro report run.jsonl`` prints.
+"""Offline run report: what ``repro obs report run.jsonl`` prints.
 
 Takes the flat records of one run (live from
-:meth:`Observability.records` or reloaded via
+:meth:`~repro.obs.snapshot.MergedObs.records` or reloaded via
 :func:`repro.obs.exporters.load_jsonl`) and renders:
 
 * one metric table per MFP dimension (top series by value, histograms
@@ -124,7 +124,7 @@ def render_span_trees(records: List[Dict[str, Any]], max_trees: int = 3,
 
 
 def render_report(records: List[Dict[str, Any]], top: int = 10) -> str:
-    """The full ``repro report`` output."""
+    """The full ``repro obs report`` output."""
     meta = next((r for r in records if r.get("type") == "meta"), {})
     header = ("== observability report ==\n"
               f"sim_time={meta.get('sim_time', '?')} "
@@ -146,8 +146,7 @@ def render_report(records: List[Dict[str, Any]], top: int = 10) -> str:
         "-- kernel profile --\n" + render_profile(records, top=top),
         "-- causal shuttle traces --\n" + render_span_trees(records),
     ]
-    # Distributed-plane sections appear only when their records do —
-    # single-simulator reports keep their PR-4 shape.
+    # The epoch and flight sections appear only when their records do.
     if any(r.get("type") == "epoch" for r in records):
         from .timeline import render_timeline
         sections.append("-- epoch timeline --\n" + render_timeline(records))

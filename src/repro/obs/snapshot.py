@@ -7,9 +7,10 @@ process.  :class:`ObsSnapshot` is the picklable capture of one worker's
 entire obs state (registry families including histogram buckets, span
 records, kernel profile, flight-recorder ring, meta counters), cheap
 enough to ship over the executor's existing pipes at collect time.
-:func:`merge_snapshots` folds K of them into one :class:`MergedObs`
-that exports through the same JSONL / Prometheus / report paths as a
-single-simulator run.
+:func:`merge_snapshots` folds K of them into one :class:`MergedObs`,
+the only exported view of a run: a single simulator exports
+``merge_snapshots([sim.obs.snapshot()])``, the K=1 merge every
+unsharded bench run already writes.
 
 Merge rules (deterministic, canonical shard-index order):
 
@@ -33,10 +34,11 @@ Merge rules (deterministic, canonical shard-index order):
 
 Shard-plane measurements (per-worker CPU, barrier stall, per-shard
 event counts) land in gauges prefixed ``repro_shard_`` with a ``shard``
-label.  :meth:`MergedObs.metrics_digest` excludes the ``repro_shard_``
-and ``repro_obs_`` prefixes — those families are per-partition or
-host-dependent by definition — which is what makes the merged digest
-identical across backends *and* worker counts.
+label.  :func:`registry_digest` excludes the ``repro_shard_``,
+``repro_obs_`` and ``repro_kernel_`` prefixes — those families are
+per-partition, host-dependent or loop-dependent by definition — which
+is what makes the merged digest identical across backends *and* worker
+counts.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .timeline import render_timeline, timeline_summary
 #: crossing a handoff boundary stays globally unambiguous after merge.
 SHARD_ID_STRIDE = 1_000_000_000
 
-#: Family-name prefixes excluded from :meth:`MergedObs.metrics_digest`
-#: and :meth:`Observability.metrics_digest`: per-partition counts
+#: Family-name prefixes excluded from :func:`registry_digest`:
+#: per-partition counts
 #: (handoffs/barriers fire only when sharded), host-dependent or
 #: cap-dependent self-metrics, and kernel agenda diagnostics (insert/
 #: pop/purge tallies vary across agenda implementations and loop
@@ -64,6 +66,16 @@ SHARD_ID_STRIDE = 1_000_000_000
 DIGEST_EXCLUDED_PREFIXES = ("repro_shard_", "repro_obs_", "repro_kernel_")
 
 _KIND_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
+def registry_digest(registry: Optional[MetricsRegistry]) -> str:
+    """Canonical-JSON/sha256 fingerprint of a registry's samples (none
+    for ``None``), minus :data:`DIGEST_EXCLUDED_PREFIXES`."""
+    samples = ([rec for rec in registry.collect()
+                if not rec["name"].startswith(DIGEST_EXCLUDED_PREFIXES)]
+               if registry is not None else [])
+    payload = json.dumps(samples, sort_keys=True, default=repr)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 class ObsSnapshot:
@@ -123,7 +135,7 @@ class ObsSnapshot:
                 "events": prof.events,
                 "wall_s": prof.wall_elapsed,
                 "max_queue_depth": prof.max_queue_depth,
-                "depth_sum": prof._depth_sum,
+                "depth_sum": prof.depth_sum,
                 "handlers": [(h.name, h.calls, h.total_s, h.max_s)
                              for h in prof.handlers.values()],
             }
@@ -182,6 +194,12 @@ def merge_snapshots(snapshots: Sequence[ObsSnapshot]) -> "MergedObs":
                 raise MetricError(
                     f"{fam['name']}: bucket edges differ across shards")
             for values, payload in fam["series"]:
+                if fam["kind"] == "gauge":
+                    # Lowest contributing shard wins: a label set an
+                    # earlier shard already wrote keeps its value.
+                    if values not in family._children:
+                        family.labels(*values).value = payload
+                    continue
                 child = family.labels(*values)
                 if fam["kind"] == "histogram":
                     counts, total, count = payload
@@ -193,21 +211,8 @@ def merge_snapshots(snapshots: Sequence[ObsSnapshot]) -> "MergedObs":
                         child.bucket_counts[i] += n
                     child.sum += total
                     child.count += count
-                elif fam["kind"] == "counter":
+                else:   # counter
                     child.value += payload
-                else:   # gauge: lowest contributing shard wins
-                    if values not in getattr(family, "_merged_seen", ()):
-                        child.value = payload
-                        seen = getattr(family, "_merged_seen", None)
-                        if seen is None:
-                            seen = set()
-                            family._merged_seen = seen
-                        seen.add(values)
-    # The tie-break bookkeeping is merge-internal; drop it so the
-    # registry pickles/compares like any other.
-    for family in registry.families():
-        if hasattr(family, "_merged_seen"):
-            del family._merged_seen
 
     spans: List[Dict[str, Any]] = []
     for snap in snaps:
@@ -267,7 +272,8 @@ def merge_snapshots(snapshots: Sequence[ObsSnapshot]) -> "MergedObs":
 
 
 class MergedObs:
-    """The unified K-shard telemetry view; exports like a live facade."""
+    """The unified K-shard telemetry view and the one exporter (K=1 for
+    a single simulator)."""
 
     def __init__(self, registry: MetricsRegistry,
                  spans: List[Dict[str, Any]],
@@ -350,12 +356,9 @@ class MergedObs:
         host-dependent families — so the digest is identical across
         backends and worker counts for the same scenario/seed/scale.
         """
-        samples = [rec for rec in self.registry.collect()
-                   if not rec["name"].startswith(DIGEST_EXCLUDED_PREFIXES)]
-        payload = json.dumps(samples, sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return registry_digest(self.registry)
 
-    # -- export (same record stream shape as Observability.records) --------
+    # -- export --------------------------------------------------------------
     def records(self) -> Iterator[Dict[str, Any]]:
         meta = self.meta
         yield {"type": "meta", "version": 1, "merged": True,
@@ -365,7 +368,10 @@ class MergedObs:
                "dropped_series": meta["dropped_series"],
                "dropped_spans": meta["dropped_spans"]}
         yield from self.registry.collect()
-        yield from self._self_metric_records()
+        yield _self_metric("repro_obs_dropped_series_total",
+                           meta["dropped_series"])
+        yield _self_metric("repro_obs_trace_subscriber_errors_total",
+                           meta["subscriber_errors"])
         yield from iter(self.span_records)
         if self.profile:
             prof = self.profile
@@ -384,12 +390,6 @@ class MergedObs:
                        "mean_us": (total_s / calls * 1e6) if calls else 0.0}
         yield from iter(self.epoch_records)
         yield from iter(self.flight_records)
-
-    def _self_metric_records(self) -> Iterator[Dict[str, Any]]:
-        yield _self_metric("repro_obs_dropped_series_total",
-                           self.meta["dropped_series"])
-        yield _self_metric("repro_obs_trace_subscriber_errors_total",
-                           self.meta["subscriber_errors"])
 
     def export_jsonl(self, path: str) -> int:
         n = 0

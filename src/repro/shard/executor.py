@@ -18,8 +18,8 @@ Two backends behind one API, stepping the same replica type
 A backend supplies two steps, *exchange* (one epoch on every shard)
 and *collect*; the loop does the rest once: routing, handoff counts,
 the epoch timeline, the partial sum, stats and the telemetry merge.
-Each replica digests its own outbox and times its own epoch, so the
-parent does neither between barriers.
+Each replica times its own epoch, and only an ``mp`` worker digests
+its outbox (for the supervisor's journal), so the parent does neither.
 
 Epoch protocol
 --------------
@@ -176,26 +176,24 @@ class _Replica:
         self.barriers = 0
 
     def epoch(self, epoch_end: float, batch_bytes: bytes
-              ) -> Tuple[List[Handoff], int, float, str]:
+              ) -> Tuple[List[Handoff], int, float]:
         """Inject the pickled batch routed here at the previous
         barrier, run to ``epoch_end`` and drain the outbox.  Returns
-        ``(outbox, events_executed, cpu_s, digest)``: the process CPU
-        this step took, digest included, and the outbox fingerprint
-        the supervisor journals for replay checks."""
+        ``(outbox, events_executed, cpu_s)``, ``cpu_s`` being the
+        process CPU this step took."""
         t0 = time.process_time()  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
         sim, fabric = self.ctx["sim"], self.ctx["fabric"]
         fabric.inject(pickle.loads(batch_bytes))
         sim.run(until=epoch_end)
         if sim.obs.on:
             sim.obs.shard_barriers.inc()
-            if sim._flight is not None:
-                sim._flight.note("barrier", epoch_end,
-                                 f"epoch#{self.barriers}")
+            if sim.obs.flight_recorder is not None:
+                sim.obs.flight_recorder.note("barrier", epoch_end,
+                                             f"epoch#{self.barriers}")
         self.barriers += 1
         outbox = fabric.drain_outbox()
-        digest = outbox_digest(outbox)
         cpu_s = time.process_time() - t0  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
-        return outbox, sim.events_executed, cpu_s, digest
+        return outbox, sim.events_executed, cpu_s
 
     def replay(self, entries: List[Tuple[float, bytes, Optional[str]]]
                ) -> Tuple[int, int]:
@@ -208,18 +206,18 @@ class _Replica:
         than at the final digest."""
         mismatches = 0
         for epoch_end, batch_bytes, expected in entries:
-            digest = self.epoch(epoch_end, batch_bytes)[3]
-            if expected is not None and digest != expected:
+            outbox = self.epoch(epoch_end, batch_bytes)[0]
+            if expected is not None and outbox_digest(outbox) != expected:
                 mismatches += 1
         sim = self.ctx["sim"]
         if sim.obs.on:
             sim.obs.shard_worker_restarts.inc()
             if entries:
                 sim.obs.recovery_replay_epochs.inc(len(entries))
-            if sim._flight is not None:
-                sim._flight.note("replay", sim.now,
-                                 f"replayed {len(entries)} epoch(s)",
-                                 mismatches=mismatches)
+            if sim.obs.flight_recorder is not None:
+                sim.obs.flight_recorder.note(
+                    "replay", sim.now, f"replayed {len(entries)} epoch(s)",
+                    mismatches=mismatches)
         return len(entries), mismatches
 
     def collect(self) -> Tuple[Dict[str, Any], Any]:
@@ -365,7 +363,7 @@ def _run_epochs(workload: ShardWorkload, plan: ShardPlan, backend: str,
     ends = _epoch_ends(workload.horizon(), plan.lookahead)
     for epoch, epoch_end in enumerate(ends):
         replies, epoch_stall = exchange(epoch, epoch_end, batches)
-        outboxes, events, epoch_cpu, _ = zip(*replies)
+        outboxes, events, epoch_cpu = zip(*replies)
         batches = _route(plan, outboxes)
         epoch_handoffs = sum(len(b) for b in batches.values())
         handoffs += epoch_handoffs

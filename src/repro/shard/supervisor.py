@@ -10,8 +10,8 @@ wrapping every protocol step in supervision:
 * every epoch's injection batches are journaled *before* the send
   (:class:`~repro.shard.recovery.EpochJournal`) and the journaled bytes
   are what the epoch message carries; each worker digests its own
-  outbox, and the digest its reply carries is journaled as the reply
-  arrives;
+  outbox and appends the digest to its epoch reply, and the supervisor
+  journals it as the reply arrives;
 * worker death (exitcode sentinel / EOF / broken pipe) and stall
   (missed per-barrier reply deadline) are detected, the dead process is
   reaped, and a replacement is forked after a seeded exponential
@@ -59,7 +59,7 @@ from .partition import ShardPlan
 from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
                        EpochJournal, Fault, FaultPlan, RecoveryConfig,
                        RestartBudgetExhausted, ShardWorkerCrash,
-                       ShardWorkerError, ShardWorkerTimeout)
+                       ShardWorkerError, ShardWorkerTimeout, outbox_digest)
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +91,8 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
     """One shard in its own process: a :class:`~repro.shard.executor.
     _Replica` behind the pipe.  Each ``(kind, *args)`` message calls the
     replica's ``epoch``, ``replay`` or ``collect`` step with ``args``
-    and sends its reply back; ``("quit",)`` ends the loop.
+    and sends its reply back, an epoch reply with the outbox digest
+    the supervisor journals appended; ``("quit",)`` ends the loop.
 
     A workload exception is sent back as a :class:`_WorkerFailure`, and
     the pipe is held open until the parent hangs up, so the parent
@@ -100,7 +101,12 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
         replica = _Replica(pickle.loads(workload_bytes),
                            frozenset(plan.shards[shard_index]),
                            shard_index, obs)
-        steps = {"epoch": replica.epoch, "replay": replica.replay,
+
+        def epoch(epoch_end: float, batch_bytes: bytes) -> Tuple:
+            reply = replica.epoch(epoch_end, batch_bytes)
+            return reply + (outbox_digest(reply[0]),)
+
+        steps = {"epoch": epoch, "replay": replica.replay,
                  "collect": replica.collect}
         while True:
             kind, *args = conn.recv()
@@ -418,9 +424,10 @@ class ShardSupervisor:
         pre-send sweep, a stall by the reply deadline); the batches are
         journaled and the journaled bytes sent; each reply is awaited
         under the deadline, reviving, replaying and re-sending as the
-        budget allows; each reply's outbox digest is journaled; then
-        ``kill-after-reply`` faults land mid-handoff, to be found at
-        the next send or at collect."""
+        budget allows; each reply's outbox digest is journaled and
+        dropped from the reply handed back; then ``kill-after-reply``
+        faults land mid-handoff, to be found at the next send or at
+        collect."""
         self.epoch = epoch
         self._apply_faults((FAULT_KILL, FAULT_STALL), epoch, epoch_end)
         self._revive_dead(epoch, epoch_end)
@@ -436,7 +443,7 @@ class ShardSupervisor:
         for shard_index, reply in enumerate(replies):
             self.journal.record_digest(epoch, shard_index, reply[3])
         self._apply_faults((FAULT_KILL_AFTER_REPLY,), epoch, epoch_end)
-        return replies, stall_s
+        return [reply[:3] for reply in replies], stall_s
 
     def collect(self, epochs: int, horizon: float) -> List[Tuple]:
         """Every worker's partial and snapshot, after the pre-send

@@ -22,6 +22,8 @@ Design notes
   + remaining batch entries``, and dead batch entries stay counted
   until the batch cursor passes them (exactly when the reference heap
   would have purged them).
+* One observation hook: ``sim.obs`` installs ``_observe``, which both
+  loops call in place of ``Event.fire`` (flight ring, profiler).
 """
 
 from __future__ import annotations
@@ -78,12 +80,10 @@ class Simulator:
         self.rng.clock = self
         self.trace = TraceBus(self)
         self.seed = seed
-        #: Armed by ``obs.enable(profiling=True)``; ``None`` keeps the
-        #: step loop on its unprofiled fast path.
-        self._profiler = None
-        #: Armed by ``obs.flight(capacity)``; ``None`` keeps the step
-        #: loop free of the ring-buffer append.
-        self._flight = None
+        #: The per-event observation hook ``self.obs`` installs (it
+        #: fires the event itself); ``None`` keeps the run loops on
+        #: the plain fire.
+        self._observe = None
         self.obs = Observability(self)
 
     # -- time -------------------------------------------------------------
@@ -187,29 +187,13 @@ class Simulator:
         if ev is None:
             return False
         self._now = ev.time
-        flight = self._flight
-        if flight is not None:
-            flight.note_event(ev.time, ev.name)
-        prof = self._profiler
-        if prof is not None:
-            t0 = prof.clock()
-            ev.fire()
-            prof.record(ev.name or "event", prof.clock() - t0,
-                        len(self._agenda))
+        observe = self._observe
+        if observe is not None:
+            observe(ev)
         else:
             ev.fire()
         self.events_executed += 1
         return True
-
-    def profile(self, top: int = 10) -> Dict[str, Any]:
-        """Kernel profile summary (per-handler wall time, queue depth,
-        events/sec).  Empty until ``obs.enable(profiling=True)`` has run
-        at least one event."""
-        if self.obs.profiler is None:
-            return {"events": 0, "wall_s": 0.0, "events_per_sec": 0.0,
-                    "max_queue_depth": 0, "mean_queue_depth": 0.0,
-                    "handlers": []}
-        return self.obs.profiler.summary(top=top)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -284,10 +268,9 @@ class Simulator:
         # ``timer-churn``, with its ~100-event batches, about a fifth of
         # its throughput).
         i = 0
-        # Attaching a flight recorder or profiler is a run-boundary
-        # operation, so the hooks are hoisted out of the loop.
-        flight = self._flight
-        prof = self._profiler
+        # Arming observation is a run-boundary operation, so the hook
+        # is hoisted out of the loop.
+        observe = self._observe
         try:
             while not self._stopped:
                 if executed == budget:
@@ -330,13 +313,8 @@ class Simulator:
                     ev = ret[3]
                     if max_batch == 0:
                         max_batch = 1
-                    if flight is not None:
-                        flight.note_event(ev.time, ev.name)
-                    if prof is not None:
-                        t0 = prof.clock()
-                        ev.fire()
-                        prof.record(ev.name or "event", prof.clock() - t0,
-                                    len(agenda))
+                    if observe is not None:
+                        observe(ev)
                     else:
                         # Inlined Event.fire: the event is pending by
                         # construction here, so the cancelled/double-fire
@@ -388,13 +366,8 @@ class Simulator:
                     batch[i] = None
                     i += 1
                     self._batch_pending = len(batch) - i
-                    if flight is not None:
-                        flight.note_event(ev.time, ev.name)
-                    if prof is not None:
-                        t0 = prof.clock()
-                        ev.fire()
-                        prof.record(ev.name or "event", prof.clock() - t0,
-                                    len(agenda) + len(batch) - i)
+                    if observe is not None:
+                        observe(ev)
                     else:
                         ev.fire()
                     self.events_executed += 1

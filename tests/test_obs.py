@@ -16,16 +16,17 @@ from repro.core.shuttle import OP_ACQUIRE_ROLE
 from repro.core.wandering_network import (WanderingNetwork,
                                           WanderingNetworkConfig)
 from repro.functions import CachingRole, FusionRole
-from repro.obs import (DEFAULT_BUCKETS, TRACE_META_KEY, KernelProfiler,
-                       MetricError, MetricsRegistry,
-                       SpanTracer, load_jsonl, render_report,
-                       render_span_tree, spans_from_records,
-                       tree_depth)
+from repro.obs import (DEFAULT_BUCKETS, TRACE_META_KEY, MetricError,
+                       MetricsRegistry, SpanTracer, load_jsonl,
+                       merge_snapshots, render_report, render_span_tree,
+                       spans_from_records, tree_depth)
 from repro.routing import StaticRouter
 from repro.substrates.nodeos import CredentialAuthority
 from repro.substrates.phys import (Datagram, NetworkFabric, line_topology,
                                    ring_topology)
 from repro.substrates.sim import Simulator
+
+from .kernel_oracle import simulator
 
 
 def make_network(n=4, generation=Generation.G4):
@@ -238,11 +239,13 @@ class TestShuttleTracing:
 class TestKernelProfiler:
     def test_profile_disabled_by_default(self):
         sim = Simulator(seed=1)
+        sim.obs.enable()
         sim.call_in(1.0, lambda: None, name="noop")
         sim.run()
-        profile = sim.profile()
-        assert profile["events"] == 0
-        assert profile["handlers"] == []
+        assert sim.obs.profiler.events == 0
+        types = {r["type"] for r in
+                 merge_snapshots([sim.obs.snapshot()]).records()}
+        assert "kernel" not in types and "profile" not in types
 
     def test_profile_collects_per_handler_stats(self):
         sim = Simulator(seed=1)
@@ -251,23 +254,50 @@ class TestKernelProfiler:
             sim.call_in(float(i + 1), lambda: None, name="tick")
         sim.call_in(2.5, lambda: sum(range(100)), name="work")
         sim.run()
-        profile = sim.profile()
-        assert profile["events"] == 6
-        assert profile["events_per_sec"] > 0
-        by_name = {h["handler"]: h for h in profile["handlers"]}
+        records = list(merge_snapshots([sim.obs.snapshot()]).records())
+        kernel = next(r for r in records if r["type"] == "kernel")
+        assert kernel["events"] == 6
+        assert kernel["events_per_sec"] > 0
+        by_name = {r["handler"]: r for r in records
+                   if r["type"] == "profile"}
         assert by_name["tick"]["calls"] == 5
         assert by_name["work"]["calls"] == 1
         assert by_name["tick"]["total_s"] >= 0.0
 
-    def test_records_include_kernel_and_handlers(self):
-        prof = KernelProfiler()
-        t0 = prof.clock()
-        prof.record("h", prof.clock() - t0, queue_depth=3)
-        records = list(prof.to_records())
-        assert records[0]["type"] == "kernel"
-        assert records[0]["events"] == 1
-        assert records[1]["type"] == "profile"
-        assert records[1]["handler"] == "h"
+    def test_both_run_loops_record_the_same_telemetry(self):
+        # The batched loop and the peek()/step() oracle must feed the
+        # one observation hook the same events in the same order, and
+        # read the same agenda depth after each: same-instant chain
+        # links and lazily cancelled timeouts included.
+        def drive(fast):
+            sim = simulator(fast, seed=3)
+            sim.obs.enable(profiling=True)
+            ring = sim.obs.flight(capacity=8192)
+            rng = sim.rng.stream("test.loops")
+            timeouts = {}
+
+            def link(chain):
+                old = timeouts.get(chain)
+                if old is not None and rng.random() < 0.5:
+                    old.cancel()
+                timeouts[chain] = sim.call_in(0.5, lambda: None,
+                                              name="timeout")
+                sim.call_in(rng.choice((0.0, 0.25, 0.5)), link, chain,
+                            name=f"link{chain % 3}")
+
+            for chain in range(20):
+                sim.call_in(rng.random(), link, chain, name="start")
+            sim.run(until=50.0)
+            profile = sim.obs.snapshot().profile
+            return (list(ring.entries), ring.recorded,
+                    sorted((name, calls)
+                           for name, calls, _, _ in profile["handlers"]),
+                    profile["events"], profile["max_queue_depth"],
+                    profile["depth_sum"])
+
+        batched, reference = drive(True), drive(False)
+        assert batched == reference
+        assert batched[3] == batched[1] > 1000
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +309,15 @@ class TestFacadeAndExporters:
         sim = Simulator(seed=1)
         assert not sim.obs.on
         assert sim.obs.registry is None
-        assert sim._profiler is None
+        assert sim._observe is None
 
     def test_enable_disable_cycle(self):
         sim = Simulator(seed=1)
         sim.obs.enable(profiling=True)
-        assert sim.obs.on and sim._profiler is not None
+        assert sim.obs.on and sim._observe is not None
         registry = sim.obs.registry
         sim.obs.disable()
-        assert not sim.obs.on and sim._profiler is None
+        assert not sim.obs.on and sim._observe is None
         # Data survives disable for export.
         assert sim.obs.registry is registry
         sim.obs.enable()
@@ -299,7 +329,8 @@ class TestFacadeAndExporters:
         ships[0].send_toward(Datagram(0, 2, flow_id="f1"))
         sim.run(until=1.0)
         path = tmp_path / "run.jsonl"
-        written = sim.obs.export_jsonl(str(path))
+        written = merge_snapshots([sim.obs.snapshot()]).export_jsonl(
+            str(path))
         records = load_jsonl(str(path))
         assert len(records) == written
         assert records[0]["type"] == "meta"
@@ -317,7 +348,7 @@ class TestFacadeAndExporters:
         sim.obs.enable()
         sim.obs.node_packets.inc(node=0, event="forward")
         sim.obs.session_latency.observe(0.003)
-        text = sim.obs.export_prometheus()
+        text = merge_snapshots([sim.obs.snapshot()]).export_prometheus()
         assert "# TYPE repro_node_packets_total counter" in text
         assert 'node="0"' in text
         assert 'le="+Inf"' in text
@@ -331,7 +362,8 @@ class TestFacadeAndExporters:
                                              credential=cred)
         ships[0].send_toward(shuttle)
         sim.run(until=5.0)
-        text = render_report(list(sim.obs.records()))
+        text = render_report(
+            list(merge_snapshots([sim.obs.snapshot()]).records()))
         assert "metrics by MFP dimension" in text
         assert "kernel profile" in text
         assert "causal shuttle traces" in text

@@ -365,7 +365,7 @@ class TestFlightRecorder:
     def test_kernel_hook_records_executed_events(self):
         sim = Simulator(seed=1)
         recorder = sim.obs.flight(capacity=16)
-        assert sim._flight is recorder
+        assert sim._observe is not None
         for i in range(3):
             sim.call_in(0.1 * (i + 1), lambda: None, name="tick")
         sim.run(until=1.0)
@@ -381,7 +381,20 @@ class TestFlightRecorder:
         assert sim.obs.flight(capacity=8) is recorder
         assert sim.obs.flight(capacity=16) is not recorder
         sim.obs.disable()
-        assert sim._flight is None
+        assert sim._observe is None
+
+    def test_reenable_rearms_the_kernel_hook(self):
+        # disable() then enable() keeps the ring armed for the kernel
+        # hook too, not only for the fabric's deliveries and drops.
+        sim = Simulator(seed=1)
+        recorder = sim.obs.flight(capacity=16)
+        sim.call_in(0.1, lambda: None, name="a")
+        sim.run()
+        sim.obs.disable()
+        sim.obs.enable()
+        sim.call_in(0.1, lambda: None, name="b")
+        sim.run()
+        assert [e["what"] for e in recorder.entries] == ["a", "b"]
 
     def test_render_flight(self):
         recorder = FlightRecorder(capacity=8)
@@ -521,7 +534,7 @@ class TestPrometheusExport:
         assert _escape_label_value('a\\b"c\nd') == 'a\\\\b\\"c\\nd'
         obs = _worker_obs(0)
         obs.node_packets.inc(node='we"ird\\path\nx', event="forwarded")
-        text = obs.export_prometheus()
+        text = merge_snapshots([obs.snapshot()]).export_prometheus()
         assert 'node="we\\"ird\\\\path\\nx"' in text
 
     def test_histogram_le_edges_use_percent_g(self):
@@ -536,12 +549,13 @@ class TestPrometheusExport:
         assert 'le="+Inf"' in text
 
     def test_self_metrics_exported(self):
-        obs = _worker_obs(0)
-        text = obs.export_prometheus()
+        view = merge_snapshots([_worker_obs(0).snapshot()])
+        text = view.export_prometheus()
         assert "# TYPE repro_obs_dropped_series_total counter" in text
         assert "repro_obs_dropped_series_total 0" in text
         assert "repro_obs_trace_subscriber_errors_total 0" in text
-        names = {r["name"] for r in obs.records() if r["type"] == "metric"}
+        names = {r["name"] for r in view.records()
+                 if r["type"] == "metric"}
         assert "repro_obs_dropped_series_total" in names
         assert "repro_obs_trace_subscriber_errors_total" in names
 
@@ -559,9 +573,11 @@ class TestPrometheusExport:
         before = obs.metrics_digest()
         # Self-metrics are synthesised at export time, outside the
         # registry: exporting must not perturb the digest.
-        obs.export_prometheus()
-        list(obs.records())
+        view = merge_snapshots([obs.snapshot()])
+        view.export_prometheus()
+        list(view.records())
         assert obs.metrics_digest() == before
+        assert view.metrics_digest() == before
 
 
 # ----------------------------------------------------------------------

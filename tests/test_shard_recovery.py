@@ -25,6 +25,7 @@ from repro.shard import (EpochJournal, Fault, FaultPlan, Handoff,
                          ShardSupervisor, ShardWorkerCrash,
                          ShardWorkerError, ShardWorkerTimeout,
                          outbox_digest, run_sharded, run_single)
+from repro.shard import executor, recovery
 from repro.shard.supervisor import _recv_deadline
 
 #: The scenarios that run partitioned, by name.
@@ -516,6 +517,20 @@ class TestOutboxDigest:
         b = [_handoff(1.5, (0, 0), (0, 1), 8)]
         assert outbox_digest(a) != outbox_digest(b)
         assert outbox_digest([]) != outbox_digest(a)
+
+    def test_inline_backend_never_digests(self, monkeypatch):
+        # Only the mp supervisor journals outbox digests; the inline
+        # backend keeps no journal, so no barrier of it may pay for one.
+        def refuse(outbox):
+            raise AssertionError("an inline run digested an outbox")
+
+        monkeypatch.setattr(executor, "outbox_digest", refuse)
+        monkeypatch.setattr(recovery, "outbox_digest", refuse)
+        cls = SCENARIOS["shuttle-storm"]
+        counters, work, stats = run_sharded(cls(42, "tiny"), 2,
+                                            backend="inline")
+        assert stats["mode"] == "sharded" and stats["barriers"] > 0
+        assert (counters, work) == run_single(cls(42, "tiny"))
 
 
 # ----------------------------------------------------------------------
