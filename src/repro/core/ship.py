@@ -19,7 +19,9 @@ Routing is pluggable: a router object with
     the same answer without side effects (optional): a ship asks its
     neighbour's router this before rerouting around a tripped breaker;
 ``handle_control(ship, packet, from_node) -> bool``
-    protocol chatter interception (optional);
+    protocol chatter interception (optional); the ship reads the hook
+    once per receive plan, not per packet, and replacing
+    ``ship.router`` makes it read the new router's;
 ``on_attached(ship)``
     wiring hook (optional).
 
@@ -72,6 +74,38 @@ class ShipError(Exception):
     """Raised for invalid ship operations."""
 
 
+class _ReceivePlan:
+    """What :meth:`Ship.receive` needs that changes only when the ship
+    reconfigures: the held security screen, the router's control hook,
+    the Next-Step module, and the active role with its CPU category, EE
+    and per-packet ops after hardware speedup.  Valid while the ship's
+    router and its fabric's and backplane's ``version`` are the ones it
+    was built with; acquiring, releasing or assigning a role drops it."""
+
+    __slots__ = ("router", "fabric_version", "backplane_version", "screen",
+                 "control", "next_step", "active", "category", "ee", "ops")
+
+    def __init__(self, ship: "Ship"):
+        roles = ship.roles
+        self.router = ship.router
+        self.fabric_version = ship.fabric_hw.version
+        self.backplane_version = ship.backplane.version
+        screen = roles.get(SecurityManagementRole.role_id)
+        self.screen = screen["role"] if screen is not None else None
+        self.control = getattr(ship.router, "handle_control", None)
+        self.next_step = roles[NextStepRole.role_id]["role"]
+        meta = roles.get(ship.active_role_id)
+        if meta is None or meta["role"] is self.next_step:
+            self.active = self.category = self.ee = self.ops = None
+            return
+        role = self.active = meta["role"]
+        self.category = f"role:{role.role_id}"
+        self.ee = ship.nodeos.ees.get(meta["ee"])
+        speedup = max(ship.fabric_hw.hardware_speedup(role.role_id),
+                      ship.backplane.hardware_speedup(role.role_id))
+        self.ops = role.cpu_ops_per_packet / speedup
+
+
 class Ship(Ployon):
     """An active mobile re-configurable node of a Wandering Network."""
 
@@ -118,9 +152,10 @@ class Ship(Ployon):
         self.congruence = CongruenceTracker()
 
         #: role_id -> {"role": Role, "modal": bool, "ee": label,
-        #:             "function": NetFunction, "cpu_category": str}
+        #:             "function": NetFunction}
         self.roles: Dict[str, Dict[str, Any]] = {}
         self.active_role_id: Optional[str] = None
+        self._plan: Optional[_ReceivePlan] = None
         self.role_changes: List[Tuple[float, Optional[str], str]] = []
 
         self._delivery_handlers: List[DeliveryHandler] = []
@@ -224,8 +259,8 @@ class Ship(Ployon):
         function = NetFunction(role.role_id,
                                role.supporting_fact_classes)
         self.roles[role.role_id] = {"role": role, "modal": modal,
-                                    "ee": ee_label, "function": function,
-                                    "cpu_category": f"role:{role.role_id}"}
+                                    "ee": ee_label, "function": function}
+        self._plan = None
         # PMP.3 bootstrap: a fresh function starts with one implanted
         # experience per supporting class, giving it a decaying initial
         # lifetime that only real demand can prolong.
@@ -241,6 +276,7 @@ class Ship(Ployon):
         meta = self.roles.pop(role_id, None)
         if meta is None:
             raise ShipError(f"{self.ship_id} has no role {role_id}")
+        self._plan = None
         if self.active_role_id == role_id:
             meta["role"].on_deactivate(self)
             self.active_role_id = None
@@ -276,6 +312,7 @@ class Ship(Ployon):
         self.nodeos.activate_function(meta["ee"])
         meta["role"].on_activate(self)
         self.active_role_id = role_id
+        self._plan = None
         delay = self.nodeos.cpu.execute(10_000, "role-switch") \
             / 1.0  # resident switch: bookkeeping only
         self.role_changes.append((self.sim.now, previous, role_id))
@@ -497,39 +534,38 @@ class Ship(Ployon):
         if not self.alive:
             return
         self._comm[from_node] = self._comm.get(from_node, 0) + 1
+        plan = self._plan
+        if (plan is None or plan.router is not self.router
+                or plan.fabric_version != self.fabric_hw.version
+                or plan.backplane_version != self.backplane.version):
+            plan = self._plan = _ReceivePlan(self)
         # Security screening applies to everything when the role is held.
-        screen = self.roles.get(SecurityManagementRole.role_id)
-        if screen is not None:
-            if screen["role"].handle(self, packet, from_node):
-                return
-        if isinstance(packet, Jet):
-            self._receive_jet(packet, from_node)
+        screen = plan.screen
+        if screen is not None and screen.handle(self, packet, from_node):
             return
         if isinstance(packet, Shuttle):
-            self._receive_shuttle(packet, from_node)
+            if isinstance(packet, Jet):
+                self._receive_jet(packet, from_node)
+            else:
+                self._receive_shuttle(packet, from_node)
             return
-        if (self.router is not None
-                and hasattr(self.router, "handle_control")
-                and self.router.handle_control(self, packet, from_node)):
+        control = plan.control
+        if control is not None and control(self, packet, from_node):
             return
         # The standard Next-Step module sees control capsules always.
-        roles = self.roles
-        next_step = roles[NextStepRole.role_id]["role"]
-        if next_step.handle(self, packet, from_node):
+        if plan.next_step.handle(self, packet, from_node):
             return
-        # The single active function gets the packet next.
-        if self.active_role_id is not None:
-            meta = roles[self.active_role_id]
-            active = meta["role"]
-            if active is not next_step:
-                # Hardware-accelerated or plain CPU cost of running the
-                # function on this packet, accounted against its EE.
-                delay = self._role_cpu_delay(active, meta["cpu_category"])
-                ee = self.nodeos.ees.get(meta["ee"])
-                if ee is not None:
-                    ee.record_invocation(delay)
-                if active.handle(self, packet, from_node):
-                    return
+        # The single active function gets the packet next, its
+        # hardware-accelerated or plain CPU cost accounted against its
+        # EE; an active screen has already seen the packet.
+        active = plan.active
+        if active is not None:
+            delay = self.nodeos.cpu.execute(plan.ops, plan.category)
+            if plan.ee is not None:
+                plan.ee.record_invocation(delay)
+            if active is not screen \
+                    and active.handle(self, packet, from_node):
+                return
         if packet.dst == self.ship_id or packet.is_broadcast:
             # Receiving is an experience too — demand facts accrue at
             # destinations, not only along the path.
@@ -565,12 +601,6 @@ class Ship(Ployon):
         group = payload.get("group")
         if group is not None:
             self.record_fact("multicast-group", group, weight=0.5)
-
-    def _role_cpu_delay(self, role: Role, category: str) -> float:
-        speedup = max(self.fabric_hw.hardware_speedup(role.role_id),
-                      self.backplane.hardware_speedup(role.role_id))
-        ops = role.cpu_ops_per_packet / speedup
-        return self.nodeos.cpu.execute(ops, category)
 
     # ------------------------------------------------------------------
     # Shuttle interpretation (the hyperactive part)

@@ -100,6 +100,7 @@ class GateFabric:
         self.cells_used = 0
         self.total_loads = 0
         self.total_reconfig_time = 0.0
+        self.version = 0  # bumped by every load, unload and free_region
 
     # -- region management --------------------------------------------------
     def allocate_region(self, cells: int) -> Region:
@@ -119,6 +120,7 @@ class GateFabric:
             raise HardwareError(f"unknown region {region.region_id}")
         del self._regions[region.region_id]
         self.cells_used -= region.cells
+        self.version += 1
 
     @property
     def regions(self) -> List[Region]:
@@ -144,10 +146,14 @@ class GateFabric:
         region.loaded_at = now
         self.total_loads += 1
         self.total_reconfig_time += delay
+        self.version += 1
         return delay
 
     def unload(self, region: Region) -> Optional[Bitstream]:
+        if region.region_id not in self._regions:
+            raise HardwareError(f"unknown region {region.region_id}")
         bs, region.bitstream = region.bitstream, None
+        self.version += 1
         return bs
 
     def find_function(self, function_id: str) -> Optional[Region]:

@@ -88,6 +88,7 @@ class Backplane:
         self.docks = 0
         self.ejects = 0
         self.rejections = 0
+        self.version = 0  # bumped by every dock and eject
 
     @property
     def slots(self) -> List[ModuleSlot]:
@@ -113,12 +114,17 @@ class Backplane:
         slot.module = module
         slot.dock_count += 1
         self.docks += 1
+        self.version += 1
         return slot
 
     def eject(self, slot: ModuleSlot) -> Optional[HardwareModule]:
+        if slot not in self._slots:
+            raise HardwareError(
+                f"slot {slot.slot_id} is not on this backplane")
         module, slot.module = slot.module, None
         if module is not None:
             self.ejects += 1
+        self.version += 1
         return module
 
     def find_function(self, function_id: str) -> Optional[ModuleSlot]:

@@ -167,6 +167,21 @@ class TestSecurityManagementRole:
         report = secmgmt.report()
         assert report["screened"] == 2
 
+    def test_active_screen_sees_each_packet_once(self):
+        sim, topo, fabric, ships = network()
+        secmgmt = SecurityManagementRole()
+        ships[1].acquire_role(secmgmt)
+        ships[1].assign_role(SecurityManagementRole.role_id)
+        ships[0].send_toward(media(0, 2))
+        sim.run()
+        assert secmgmt.accounting == {"media": 1}
+        assert secmgmt.screened == 1 and secmgmt.packets_seen == 1
+        # As the active role it still pays its per-packet CPU once.
+        cpu = ships[1].nodeos.cpu.by_category
+        assert cpu["role:fn.secmgmt"] == \
+            SecurityManagementRole.cpu_ops_per_packet
+        assert ships[1].nodeos.ees.get("EE:fn.secmgmt").invocations == 1
+
     def test_screens_invalid_shuttle_credentials(self):
         sim, topo, fabric, ships = network()
         from repro.core.shuttle import Shuttle

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.ship import Ship
+from repro.functions import CachingRole, TranscodingRole
+from repro.routing import StaticRouter
 from repro.substrates.hardware import (Backplane, Bitstream, GateFabric,
                                        HardwareError, HardwareModule)
 from repro.substrates.nodeos import NodeOS
+from repro.substrates.phys import Datagram, NetworkFabric, line_topology
 from repro.substrates.sim import Simulator
 
 
@@ -137,3 +141,126 @@ class TestBackplane:
         nos.install_driver(mod.driver, cred=cred)
         plane.dock(mod, nos)
         assert plane.describe() == {"slots": 2, "modules": ["fusion"]}
+
+
+class TestVersionStamps:
+    """Every change to what the hardware holds bumps ``version``; a
+    refused one leaves it, so a ship's receive plan stays valid."""
+
+    def test_fabric_mutators_bump(self):
+        fab = GateFabric(total_cells=1024)
+        region = fab.allocate_region(512)
+        assert fab.version == 0  # an empty region changes no speedup
+        fab.load(region, Bitstream("f", cells=256))
+        assert fab.version == 1
+        fab.unload(region)
+        assert fab.version == 2
+        fab.free_region(region)
+        assert fab.version == 3
+
+    def test_refused_load_keeps_version(self):
+        fab = GateFabric(total_cells=1024)
+        small = fab.allocate_region(100)
+        stray = GateFabric().allocate_region(512)
+        with pytest.raises(HardwareError):
+            fab.load(small, Bitstream("f", cells=200))
+        with pytest.raises(HardwareError):
+            fab.load(stray, Bitstream("f", cells=200))
+        assert fab.version == 0
+
+    def test_foreign_region_refused(self):
+        # Unloading another fabric's region would clear it without
+        # bumping its owner's version.
+        owner, other = GateFabric(), GateFabric()
+        region = owner.allocate_region(512)
+        owner.load(region, Bitstream("f", cells=256, speedup=6.0))
+        with pytest.raises(HardwareError):
+            other.unload(region)
+        assert owner.hardware_speedup("f") == 6.0
+        assert (owner.version, other.version) == (1, 0)
+
+    def test_foreign_slot_refused(self):
+        sim = Simulator()
+        nos = NodeOS(sim, "ship1")
+        nos.security.grant("netbot", "reconfigure")
+        owner, other = Backplane(slots=1), Backplane(slots=1)
+        mod = HardwareModule("f")
+        nos.install_driver(mod.driver, cred=nos.authority.issue("netbot"))
+        slot = owner.dock(mod, nos)
+        with pytest.raises(HardwareError):
+            other.eject(slot)
+        assert slot.module is mod
+        assert (owner.version, other.version) == (1, 0)
+
+    def test_backplane_mutators_bump(self):
+        sim = Simulator()
+        nos = NodeOS(sim, "ship1")
+        nos.security.grant("netbot", "reconfigure")
+        cred = nos.authority.issue("netbot")
+        plane = Backplane(slots=1)
+        m1, m2 = HardwareModule("a"), HardwareModule("b")
+        with pytest.raises(HardwareError):
+            plane.dock(m1, nos)  # driver missing
+        assert plane.version == 0
+        nos.install_driver(m1.driver, cred=cred)
+        nos.install_driver(m2.driver, cred=cred)
+        slot = plane.dock(m1, nos)
+        assert plane.version == 1
+        with pytest.raises(HardwareError):
+            plane.dock(m2, nos)  # no free slot
+        assert plane.version == 1
+        plane.eject(slot)
+        assert plane.version == 2
+
+
+def _middle_ship():
+    sim = Simulator(seed=3)
+    topo = line_topology(3)
+    fabric = NetworkFabric(sim, topo)
+    router = StaticRouter(topo)
+    ships = {node: Ship(sim, fabric, node, router=router)
+             for node in topo.nodes}
+    return ships[1]
+
+
+def _pass_one(ship, category=None):
+    """Send one media packet through ``ship``; returns the ops it booked
+    under ``category``."""
+    cpu = ship.nodeos.cpu.by_category
+    before = cpu.get(category, 0.0)
+    ship.receive(Datagram(0, 2, flow_id="f", payload={"kind": "media"}), 0)
+    return cpu.get(category, 0.0) - before
+
+
+class TestShipReceivePlan:
+    def test_loaded_bitstream_speeds_up_next_packet(self):
+        ship = _middle_ship()
+        ship.acquire_role(TranscodingRole())
+        ship.assign_role(TranscodingRole.role_id)
+        category = "role:fn.transcoding"
+        ops = TranscodingRole.cpu_ops_per_packet
+        assert _pass_one(ship, category) == ops
+        region = ship.fabric_hw.allocate_region(TranscodingRole.hw_cells)
+        ship.fabric_hw.load(region, TranscodingRole.bitstream())
+        assert _pass_one(ship, category) == \
+            pytest.approx(ops / TranscodingRole.hw_speedup)
+        ship.fabric_hw.unload(region)
+        assert _pass_one(ship, category) == pytest.approx(ops)
+
+    def test_assign_and_release_move_the_next_packet(self):
+        ship = _middle_ship()
+        caching, transcoding = CachingRole(), TranscodingRole()
+        ship.acquire_role(caching)
+        ship.acquire_role(transcoding)
+        _pass_one(ship)
+        assert (caching.packets_seen, transcoding.packets_seen) == (0, 0)
+        ship.assign_role(CachingRole.role_id)
+        _pass_one(ship)
+        assert (caching.packets_seen, transcoding.packets_seen) == (1, 0)
+        ship.assign_role(TranscodingRole.role_id)
+        _pass_one(ship)
+        assert (caching.packets_seen, transcoding.packets_seen) == (1, 1)
+        ship.release_role(TranscodingRole.role_id)
+        _pass_one(ship)
+        assert (caching.packets_seen, transcoding.packets_seen) == (1, 1)
+        assert "role:fn.caching" in ship.nodeos.cpu.by_category

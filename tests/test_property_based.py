@@ -9,17 +9,26 @@ from collections.abc import Hashable
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.analysis import entropy
+from repro.core import Netbot, NetbotState
 from repro.core.congruence import congruence
 from repro.core.knowledge import MAX_WEIGHT, Fact, KnowledgeBase
-from repro.core.ship import Ship
-from repro.routing import WLIAdaptiveRouter
+from repro.core.ship import Ship, ShipError
+from repro.core.shuttle import OP_ACTIVATE_ROLE, Directive, Jet, Shuttle
+from repro.functions import (CachingRole, NextStepRole,
+                             SecurityManagementRole, TranscodingRole)
+from repro.functions.base import payload_kind
+from repro.routing import StaticRouter, WLIAdaptiveRouter
 from repro.routing.adaptive import Route
-from repro.substrates.nodeos import CodeCache, CodeModule
+from repro.substrates.hardware import (Bitstream, HardwareError,
+                                       HardwareModule)
+from repro.substrates.nodeos import CodeCache, CodeModule, Credential
 from repro.substrates.phys import (Datagram, NetworkFabric, Topology,
-                                   TopologyError, grid_topology)
+                                   TopologyError, grid_topology,
+                                   line_topology)
 from repro.substrates.phys.topology import _key
 from repro.substrates.sim import Simulator, TokenBucket
 from repro.verification.tla import FrozenState
@@ -615,6 +624,313 @@ class AdaptiveRouterOracleMachine(RuleBasedStateMachine):
 TestAdaptiveRouterOracle = AdaptiveRouterOracleMachine.TestCase
 TestAdaptiveRouterOracle.settings = settings(STATE_MACHINE_SETTINGS,
                                              stateful_step_count=20)
+
+
+# ----------------------------------------------------------------------
+# Receive plans: the cached receive path against a per-packet lookup
+# ----------------------------------------------------------------------
+
+class PerPacketShip(Ship):
+    """Reference ``receive``: the path before receive plans, which
+    looks the screen, the router's control hook, the roles, the active
+    EE and the hardware speedup up again for every packet.  One fix is
+    applied to it: an active ``fn.secmgmt`` that already screened the
+    packet is not handed it a second time (its CPU and EE invocation
+    are still booked)."""
+
+    def receive(self, packet, from_node):
+        if not self.alive:
+            return
+        self._comm[from_node] = self._comm.get(from_node, 0) + 1
+        screen = self.roles.get(SecurityManagementRole.role_id)
+        if screen is not None:
+            if screen["role"].handle(self, packet, from_node):
+                return
+        if isinstance(packet, Jet):
+            self._receive_jet(packet, from_node)
+            return
+        if isinstance(packet, Shuttle):
+            self._receive_shuttle(packet, from_node)
+            return
+        if (self.router is not None
+                and hasattr(self.router, "handle_control")
+                and self.router.handle_control(self, packet, from_node)):
+            return
+        roles = self.roles
+        next_step = roles[NextStepRole.role_id]["role"]
+        if next_step.handle(self, packet, from_node):
+            return
+        if self.active_role_id is not None:
+            meta = roles[self.active_role_id]
+            active = meta["role"]
+            if active is not next_step:
+                delay = self._role_cpu_delay(active, f"role:{active.role_id}")
+                ee = self.nodeos.ees.get(meta["ee"])
+                if ee is not None:
+                    ee.record_invocation(delay)
+                if (screen is None or active is not screen["role"]) \
+                        and active.handle(self, packet, from_node):
+                    return
+        if packet.dst == self.ship_id or packet.is_broadcast:
+            self._observe_packet(packet)
+            self.deliver_local(packet, from_node)
+        else:
+            self._observe_packet(packet)
+            self.nodeos.forward_cost()
+            self.send_toward(packet)
+
+    def _role_cpu_delay(self, role, category):
+        speedup = max(self.fabric_hw.hardware_speedup(role.role_id),
+                      self.backplane.hardware_speedup(role.role_id))
+        ops = role.cpu_ops_per_packet / speedup
+        return self.nodeos.cpu.execute(ops, category)
+
+
+class ClaimingRouter(StaticRouter):
+    """A static router that claims route advertisements as its control
+    traffic, so swapping it in changes what a ship's receive does."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.claimed = 0
+
+    def handle_control(self, ship, packet, from_node):
+        if payload_kind(packet) != "route-adv":
+            return False
+        self.claimed += 1
+        return True
+
+
+_PLAN_ROLES = st.sampled_from([CachingRole, TranscodingRole,
+                               SecurityManagementRole])
+#: Hardware steps name a role, or None for whichever role is active.
+_HW_ROLES = st.one_of(st.none(), _PLAN_ROLES)
+_PLAN_KINDS = ("route-adv", "content-request", "content", "media",
+               "next-step", "state-request", "plain", "shuttle")
+_OPERATOR = "operator"
+
+
+class _PlanWorld:
+    """A 3-ship line whose middle ship takes every reconfiguration and
+    every injected packet; a small fabric and one module slot make
+    refused loads and docks reachable."""
+
+    def __init__(self, ship_cls):
+        self.sim = Simulator(seed=23)
+        topo = line_topology(3)
+        fabric = NetworkFabric(self.sim, topo)
+        static = StaticRouter(topo)
+        self.ships = {node: ship_cls(self.sim, fabric, node, router=static,
+                                     hw_cells=1024, hw_slots=1)
+                      for node in topo.nodes}
+        for ship in self.ships.values():
+            ship.nodeos.security.grant(_OPERATOR, "*")
+        self.ship = self.ships[1]
+        self.cred = self.ship.nodeos.authority.issue(_OPERATOR)
+        self.routers = {"static": static, "claiming": ClaimingRouter(topo),
+                        "none": None}
+        self.netbots = []
+
+    def packet(self, kind, sender, dst, key, forged):
+        payloads = {
+            "route-adv": {"kind": "route-adv", "vector": {}, "origin": sender},
+            "content-request": {"kind": "content-request", "key": key,
+                                "reply_to": sender},
+            "content": {"kind": "content", "key": key},
+            "media": {"kind": "media", "stream": "m", "quality": 1.0,
+                      "encoding": "raw"},
+            "next-step": {"kind": "next-step", "role": key},
+            "state-request": {"kind": "state-request", "reply_to": sender},
+            "plain": None,
+        }
+        if kind == "shuttle":
+            cred = Credential(_OPERATOR, "0" * 16) if forged else self.cred
+            return Shuttle(sender, dst, credential=cred, flow_id="shuttle",
+                           directives=[Directive(OP_ACTIVATE_ROLE,
+                                                 role_id=key)])
+        return Datagram(sender, dst, size_bytes=800, flow_id=kind,
+                        payload=payloads[kind], created_at=self.sim.now)
+
+    def state(self):
+        rows = [self.sim.now, self.sim.events_executed,
+                self.routers["claiming"].claimed]
+        for node in sorted(self.ships):
+            ship = self.ships[node]
+            cpu = ship.nodeos.cpu
+            rows.append((
+                sorted(cpu.by_category.items()), cpu.total_ops, cpu._free_at,
+                [(ee.label, ee.invocations, ee.busy_time)
+                 for ee in ship.nodeos.ees.in_priority_order()],
+                [(rid, meta["role"].packets_seen,
+                  meta["role"].packets_handled)
+                 for rid, meta in sorted(ship.roles.items())],
+                [(f.fact_class, f.value, f.accesses, f._weight,
+                  f._weight_time) for f in ship.knowledge.all_facts()],
+                ship.active_role_id, sorted(ship._comm.items()),
+                ship.packets_forwarded, ship.packets_delivered,
+                ship.packets_dropped, ship.shuttles_processed,
+                ship.shuttles_rejected))
+        return rows
+
+
+class ReceivePlanOracleMachine(RuleBasedStateMachine):
+    """Two identical networks in lockstep, one receiving through plans
+    and one through :class:`PerPacketShip`; every step must leave them
+    equal.  Each reconfiguration is followed by one probe packet
+    through the middle ship, so a plan that outlives it shows at once
+    instead of only when a random packet happens to follow."""
+
+    def __init__(self):
+        super().__init__()
+        self.worlds = (_PlanWorld(Ship), _PlanWorld(PerPacketShip))
+
+    def _probe(self, kind="media"):
+        for world in self.worlds:
+            world.ship.receive(world.packet(kind, 0, 2, None, False), 0)
+
+    def _role_id(self, world, role):
+        if role is not None:
+            return role.role_id
+        return world.ship.active_role_id or CachingRole.role_id
+
+    def _region(self, world, role):
+        """The region holding the role's bitstream, else the first."""
+        fabric = world.ship.fabric_hw
+        region = fabric.find_function(self._role_id(world, role))
+        if region is None and fabric.regions:
+            region = fabric.regions[0]
+        return region
+
+    @initialize(held=st.sets(_PLAN_ROLES), active=_PLAN_ROLES)
+    def start(self, held, active):
+        for world in self.worlds:
+            for role in sorted(held, key=lambda cls: cls.role_id):
+                world.ship.acquire_role(role())
+            if active in held:
+                world.ship.assign_role(active.role_id)
+        self._probe()
+
+    @rule(role=_PLAN_ROLES)
+    def acquire(self, role):
+        for world in self.worlds:
+            if world.ship.has_role(role.role_id):
+                with pytest.raises(ShipError):
+                    world.ship.acquire_role(role())
+            else:
+                world.ship.acquire_role(role())
+        self._probe()
+
+    @rule(role=_PLAN_ROLES)
+    def release(self, role):
+        for world in self.worlds:
+            if world.ship.has_role(role.role_id):
+                world.ship.release_role(role.role_id)
+            else:
+                with pytest.raises(ShipError):
+                    world.ship.release_role(role.role_id)
+        self._probe()
+
+    @rule(role=st.one_of(_PLAN_ROLES, st.just(NextStepRole)))
+    def assign(self, role):
+        for world in self.worlds:
+            if world.ship.has_role(role.role_id):
+                world.ship.assign_role(role.role_id)
+            else:
+                with pytest.raises(ShipError):
+                    world.ship.assign_role(role.role_id)
+        self._probe()
+
+    @rule(role=_HW_ROLES, fresh=st.booleans(),
+          speedup=st.sampled_from([2.0, 8.0, 24.0]))
+    def load(self, role, fresh, speedup):
+        # Into a fresh region (refused once the fabric is full) or over
+        # the first one (refused when it is too small).
+        for world in self.worlds:
+            role_id = self._role_id(world, role)
+            cells = world.ship.catalog.role_class(role_id).hw_cells
+            fabric = world.ship.fabric_hw
+            try:
+                region = (fabric.allocate_region(cells)
+                          if fresh or not fabric.regions
+                          else fabric.regions[0])
+                fabric.load(region, Bitstream(role_id, cells=cells,
+                                              speedup=speedup),
+                            now=world.sim.now)
+            except HardwareError:
+                pass
+        self._probe()
+
+    @rule(role=_HW_ROLES)
+    def unload(self, role):
+        for world in self.worlds:
+            region = self._region(world, role)
+            if region is not None:
+                world.ship.fabric_hw.unload(region)
+        self._probe()
+
+    @rule(role=_HW_ROLES)
+    def free_region(self, role):
+        for world in self.worlds:
+            region = self._region(world, role)
+            if region is not None:
+                world.ship.fabric_hw.free_region(region)
+        self._probe()
+
+    @rule(role=_HW_ROLES, speedup=st.sampled_from([4.0, 16.0]))
+    def dock(self, role, speedup):
+        # The netbot starts at its target, so it docks (or is refused
+        # for want of a free slot) at the current instant.
+        for world in self.worlds:
+            module = HardwareModule(self._role_id(world, role),
+                                    speedup=speedup)
+            bot = Netbot(world.sim, module, location=1,
+                         credential=world.cred)
+            bot.dispatch(world.ships, 1)
+            world.sim.run(until=world.sim.now)
+            world.netbots.append(bot)
+        self._probe()
+
+    @rule()
+    def eject(self):
+        for world in self.worlds:
+            docked = [bot for bot in world.netbots
+                      if bot.state == NetbotState.DOCKED]
+            if docked:
+                docked[0].undock(world.ship)
+        self._probe()
+
+    @rule(name=st.sampled_from(["static", "claiming", "none"]))
+    def swap_router(self, name):
+        for world in self.worlds:
+            world.ship.router = world.routers[name]
+        # Only the claiming router's hook tells a route advertisement
+        # apart, so that is what probes the swap.
+        self._probe("route-adv")
+
+    @rule(kind=st.sampled_from(_PLAN_KINDS), sender=st.sampled_from([0, 2]),
+          dst=st.sampled_from([0, 1, 2]),
+          key=st.sampled_from([CachingRole.role_id,
+                               TranscodingRole.role_id]),
+          forged=st.booleans())
+    def packet(self, kind, sender, dst, key, forged):
+        for world in self.worlds:
+            world.ship.receive(world.packet(kind, sender, dst, key, forged),
+                               sender)
+
+    @rule(dt=st.sampled_from([0.0, 0.001, 0.5]))
+    def advance(self, dt):
+        for world in self.worlds:
+            world.sim.run(until=world.sim.now + dt)
+
+    @invariant()
+    def worlds_agree(self):
+        planned, reference = self.worlds
+        assert planned.state() == reference.state()
+
+
+TestReceivePlanOracle = ReceivePlanOracleMachine.TestCase
+TestReceivePlanOracle.settings = settings(STATE_MACHINE_SETTINGS,
+                                          stateful_step_count=30)
 
 
 # ----------------------------------------------------------------------
