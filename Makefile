@@ -11,11 +11,13 @@ PYTHON ?= python
 install:
 	pip install -e .
 
+# Tier-1: the suite under pyproject's testpaths, stopping at the first
+# failure.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The paper's own results: every bench under benchmarks/ runs once,
 # untimed, and must regenerate its tables and pass its assertions.
@@ -25,17 +27,17 @@ paper-check:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script =="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 verify:
-	$(PYTHON) -m repro verify
+	PYTHONPATH=src $(PYTHON) -m repro verify
 
 demo:
-	$(PYTHON) -m repro demo
+	PYTHONPATH=src $(PYTHON) -m repro demo
 
 figures:
-	$(PYTHON) -m repro figures
+	PYTHONPATH=src $(PYTHON) -m repro figures
 
 # Deterministic macro-benchmark gate: run the scenario suite and gate
 # it against the committed baseline.  Digest mismatch = semantic drift

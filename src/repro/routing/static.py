@@ -35,15 +35,7 @@ class StaticRouter:
         self._refresh()
         table = self._tables.get(src)
         if table is None:
-            dist, prev = self.topology.shortest_paths(src, weight=self.weight)
-            table = {}
-            for dst in dist:
-                if dst == src:
-                    continue
-                hop = dst
-                while prev.get(hop) != src:
-                    hop = prev[hop]
-                table[dst] = hop
+            table = self.topology.first_hops(src, weight=self.weight)
             self._tables[src] = table
         return table
 

@@ -57,16 +57,7 @@ class AntsNode:
     def next_hop(self, dst: NodeId) -> Optional[NodeId]:
         topo = self.fabric.topology
         if self._table_version != topo.version:
-            dist, prev = topo.shortest_paths(self.node_id)
-            table: Dict[NodeId, NodeId] = {}
-            for node in dist:
-                if node == self.node_id:
-                    continue
-                hop = node
-                while prev.get(hop) != self.node_id:
-                    hop = prev[hop]
-                table[node] = hop
-            self._table = table
+            self._table = topo.first_hops(self.node_id)
             self._table_version = topo.version
         return self._table.get(dst)
 

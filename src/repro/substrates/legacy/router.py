@@ -62,18 +62,7 @@ class LegacyRouter:
                 return
             if self.sim.now < self._stale_until:
                 return
-        dist, prev = topo.shortest_paths(self.node_id)
-        table: Dict[NodeId, NodeId] = {}
-        for dst in dist:
-            if dst == self.node_id:
-                continue
-            hop = dst
-            while prev.get(hop) != self.node_id:
-                hop = prev[hop]
-                if hop == self.node_id:  # unreachable guard
-                    break
-            table[dst] = hop
-        self._table = table
+        self._table = topo.first_hops(self.node_id)
         self._table_version = topo.version
 
     def next_hop(self, dst: NodeId) -> Optional[NodeId]:

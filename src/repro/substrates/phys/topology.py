@@ -250,6 +250,22 @@ class Topology:
                     heapq.heappush(heap, (nd, counter, peer))
         return dist, prev
 
+    def first_hops(self, src: NodeId,
+                   weight: str = "latency") -> Dict[NodeId, NodeId]:
+        """First hop on the shortest up-path from ``src`` to every node it
+        reaches (``src`` itself excluded): a router's forwarding table.
+        """
+        dist, prev = self.shortest_paths(src, weight=weight)
+        table: Dict[NodeId, NodeId] = {}
+        for dst in dist:
+            if dst == src:
+                continue
+            hop = dst
+            while prev[hop] != src:
+                hop = prev[hop]
+            table[dst] = hop
+        return table
+
     def path(self, src: NodeId, dst: NodeId,
              weight: str = "latency") -> Optional[List[NodeId]]:
         """Shortest up-path from src to dst, inclusive, or None."""

@@ -4,20 +4,15 @@ The Wandering Network of the Viator paper is a *concept*; this kernel is
 the deterministic clockwork everything else in the reproduction runs on.
 """
 
-from .errors import (CancelledError, DeadlockError, InterruptError,
-                     SchedulingError, SimulationError)
-from .events import LAZY, NORMAL, URGENT, Event, Signal, Timeout
+from .errors import SchedulingError, SimulationError
+from .events import LAZY, NORMAL, URGENT, Event
 from .kernel import PeriodicTask, Simulator
-from .process import Process, spawn, wait_all, wait_any
-from .resources import Resource, Store, TokenBucket, WaitQueue
+from .resources import TokenBucket
 from .rng import RngRegistry, derive_seed
-from .trace import TraceBus, TraceCounter, TraceRecord
+from .trace import TraceBus, TraceRecord
 
 __all__ = [
-    "CancelledError", "DeadlockError", "InterruptError", "SchedulingError",
-    "SimulationError", "Event", "Signal", "Timeout", "NORMAL", "URGENT",
-    "LAZY", "Simulator", "PeriodicTask", "Process", "spawn",
-    "wait_all", "wait_any", "Resource",
-    "Store", "TokenBucket", "WaitQueue", "RngRegistry", "derive_seed",
-    "TraceBus", "TraceCounter", "TraceRecord",
+    "SchedulingError", "SimulationError", "Event", "NORMAL", "URGENT",
+    "LAZY", "Simulator", "PeriodicTask", "TokenBucket", "RngRegistry",
+    "derive_seed", "TraceBus", "TraceRecord",
 ]

@@ -7,23 +7,3 @@ class SimulationError(Exception):
 
 class SchedulingError(SimulationError):
     """Raised when an event is scheduled in the past or after shutdown."""
-
-
-class CancelledError(SimulationError):
-    """Raised inside a process whose pending wait was cancelled."""
-
-
-class DeadlockError(SimulationError):
-    """Raised when ``run(until=None)`` exhausts events while processes wait."""
-
-
-class InterruptError(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The interrupt payload (``cause``) is attached so the interrupted
-    process can decide how to react.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(f"process interrupted (cause={cause!r})")
-        self.cause = cause

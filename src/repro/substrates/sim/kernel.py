@@ -2,9 +2,11 @@
 
 A :class:`Simulator` owns a binary-heap agenda (:mod:`repro.substrates.
 sim.agenda`) of :class:`~repro.substrates.sim.events.Event` objects and
-advances simulated time by popping the earliest event.  Processes
-(generator coroutines) are layered on top in
-:mod:`repro.substrates.sim.process`.
+advances simulated time by popping the earliest event.  A callback is
+the only way to wait: code that must act later schedules a call with
+:meth:`~Simulator.call_in`, :meth:`~Simulator.call_at` or
+:meth:`~Simulator.every`, and a multi-step activity (a netbot's
+journey, say) ends each step by scheduling the next.
 
 Design notes
 ------------
@@ -127,8 +129,6 @@ class Simulator:
         """Call ``fn(*args)`` at absolute simulated ``time``."""
         ev = self.schedule_at(time, priority, name=name or getattr(
             fn, "__name__", "call"))
-        # Direct (fn, args) storage fires in the same position the old
-        # first-callback lambda did, without the closure allocation.
         ev._fn = fn
         ev._args = args
         return ev
@@ -323,8 +323,6 @@ class Simulator:
                         fn = ev._fn
                         if fn is not None:
                             fn(*ev._args)
-                        for cb in ev.callbacks:
-                            cb(ev)
                     self.events_executed += 1
                     executed += 1
                     continue

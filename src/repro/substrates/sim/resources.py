@@ -1,133 +1,13 @@
-"""Shared-resource primitives for simulation processes.
+"""Link bandwidth shaping: the token bucket the physical fabric uses.
 
-These model contention inside a ship / node: CPU slots on an execution
-environment, memory pools for the knowledge base, and token buckets for
-link bandwidth shaping.
+A :class:`TokenBucket` models a link's transmission queue.  It does not
+block anyone: ``consume`` returns the delay until the tokens exist, and
+the caller schedules its next step that far ahead.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
-
-from .errors import SimulationError
-from .events import Event, Signal
 from .kernel import Simulator
-
-
-class Resource:
-    """A counted resource with FIFO queuing (like ``simpy.Resource``).
-
-    Usage from a process::
-
-        grant = resource.request()
-        yield grant          # waits until capacity is available
-        try:
-            ...              # hold the resource
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "res"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._queue: Deque[Tuple[Event, float]] = deque()
-        self.total_grants = 0
-        self.total_wait_time = 0.0
-
-    def request(self) -> Event:
-        """Returns an event that fires once the resource is granted."""
-        grant = Event(self.sim.now, name=f"grant:{self.name}")
-        if self.in_use < self.capacity and not self._queue:
-            self.in_use += 1
-            self.total_grants += 1
-            self.sim.call_in(0.0, grant.fire, name=f"grant:{self.name}")
-        else:
-            self._queue.append((grant, self.sim.now))
-        return grant
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name}")
-        self.in_use -= 1
-        while self._queue and self.in_use < self.capacity:
-            grant, requested_at = self._queue.popleft()
-            if grant.cancelled:
-                continue
-            self.in_use += 1
-            self.total_grants += 1
-            self.total_wait_time += self.sim.now - requested_at
-            self.sim.call_in(0.0, grant.fire, name=f"grant:{self.name}")
-            break
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for g, _ in self._queue if not g.cancelled)
-
-    def __repr__(self) -> str:
-        return (f"<Resource {self.name} {self.in_use}/{self.capacity} "
-                f"queued={self.queue_length}>")
-
-
-class Store:
-    """An unbounded (or bounded) FIFO store of items with blocking get.
-
-    ``put(item)`` never blocks unless a ``capacity`` is given, in which
-    case it raises :class:`StoreFull` (callers model drops explicitly —
-    networks drop packets rather than backpressure the wire).
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 name: str = "store"):
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self.total_puts = 0
-        self.total_drops = 0
-
-    def put(self, item: Any) -> bool:
-        """Add an item; returns False (and counts a drop) when full."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self.total_drops += 1
-            return False
-        self.total_puts += 1
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.cancelled:
-                continue
-            getter.value = item
-            self.sim.call_in(0.0, getter.fire, name=f"get:{self.name}")
-            return True
-        self._items.append(item)
-        return True
-
-    def get(self) -> Event:
-        """Returns an event whose value is the next item (FIFO)."""
-        ev = Event(self.sim.now, name=f"get:{self.name}")
-        if self._items:
-            ev.value = self._items.popleft()
-            self.sim.call_in(0.0, ev.fire, name=f"get:{self.name}")
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __repr__(self) -> str:
-        return f"<Store {self.name} items={len(self._items)}>"
 
 
 class TokenBucket:
@@ -174,31 +54,3 @@ class TokenBucket:
 
     def __repr__(self) -> str:
         return f"<TokenBucket {self.name} tokens={self.tokens:.3g}>"
-
-
-class WaitQueue:
-    """A named set of signals keyed by arbitrary hashable keys.
-
-    Lets a process wait for "event about key K" without pre-creating
-    every signal (used for route discovery replies, code-fetch replies).
-    """
-
-    def __init__(self, name: str = "waitq"):
-        self.name = name
-        self._signals: dict = {}
-
-    def signal_for(self, key: Any) -> Signal:
-        sig = self._signals.get(key)
-        if sig is None:
-            sig = Signal(f"{self.name}:{key}")
-            self._signals[key] = sig
-        return sig
-
-    def trigger(self, key: Any, value: Any = None) -> int:
-        sig = self._signals.pop(key, None)
-        if sig is None:
-            return 0
-        return sig.trigger(value)
-
-    def pending(self) -> List[Any]:
-        return [k for k, s in self._signals.items() if s.waiting]

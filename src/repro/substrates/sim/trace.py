@@ -2,9 +2,11 @@
 
 A lightweight publish-subscribe channel carried by the simulator.  Any
 component may ``emit(topic, **fields)``; analysis code subscribes by topic
-prefix.  Records are cheap tuples so tracing a long run stays fast; when
-no subscriber matches a topic the emit is a dictionary miss and two string
-operations.
+prefix, and a subscriber that wants to keep or count records does so
+itself.  A record is a cheap tuple, built only once some subscriber
+matches, so tracing a long run stays fast: with no subscriber at all an
+emit returns after the observability check, and each prefix level no
+subscriber matches costs a dictionary miss and two string operations.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ class TraceBus:
     def __init__(self, sim):
         self._sim = sim
         self._subs: Dict[str, List[Subscriber]] = defaultdict(list)
-        self._record_all: Optional[List[TraceRecord]] = None
         self.emitted = 0
         #: Exceptions swallowed from subscribers (a broken analysis
         #: callback must never abort the emitting simulation step).
@@ -59,24 +60,15 @@ class TraceBus:
             # on dead prefixes disappearing.
             del self._subs[prefix]
 
-    def record_all(self) -> List[TraceRecord]:
-        """Start recording every emit; returns the live record list."""
-        if self._record_all is None:
-            self._record_all = []
-        return self._record_all
-
     # -- emission ---------------------------------------------------------
     def emit(self, topic: str, **fields: Any) -> None:
         self.emitted += 1
         obs = getattr(self._sim, "obs", None)
         if obs is not None and obs.on:
             obs.record_topic(topic)
-        rec: Optional[TraceRecord] = None
-        if self._record_all is not None:
-            rec = TraceRecord(self._sim.now, topic, fields)
-            self._record_all.append(rec)
         if not self._subs:
             return
+        rec: Optional[TraceRecord] = None
         # Walk the prefix chain: "a.b.c" notifies "a.b.c", "a.b", "a".
         part = topic
         while True:
@@ -94,24 +86,3 @@ class TraceBus:
             if cut < 0:
                 break
             part = part[:cut]
-
-    def counter(self, prefix: str) -> "TraceCounter":
-        """Convenience: a counter subscribed to ``prefix``."""
-        counter = TraceCounter()
-        self.subscribe(prefix, counter)
-        return counter
-
-
-class TraceCounter:
-    """Counts records per full topic; callable as a subscriber."""
-
-    def __init__(self):
-        self.counts: Dict[str, int] = defaultdict(int)
-        self.total = 0
-
-    def __call__(self, rec: TraceRecord) -> None:
-        self.counts[rec.topic] += 1
-        self.total += 1
-
-    def __getitem__(self, topic: str) -> int:
-        return self.counts.get(topic, 0)

@@ -234,6 +234,93 @@ class TestNetbot:
         assert bot.undock(ships[1])
         assert ships[1].backplane.hardware_speedup("fn.fusion") == 1.0
 
+    def test_docked_netbot_cannot_be_dispatched_again(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(2)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=1.0)
+        bot.dispatch(ships, target=0)
+        sim.run()
+        assert bot.state == NetbotState.DOCKED
+        with pytest.raises(RuntimeError, match="undock"):
+            bot.dispatch(ships, target=1)
+        sim.run()
+        assert bot.location == 0
+        assert ships[1].backplane.describe()["modules"] == []
+        assert bot.undock(ships[0])
+        assert ships[0].backplane.describe()["modules"] == []
+
+    def test_second_dispatch_before_departure_refused(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(3)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=1.0)
+        bot.dispatch(ships, target=2)
+        assert bot.state == NetbotState.IN_TRANSIT
+        with pytest.raises(RuntimeError, match="already moving"):
+            bot.dispatch(ships, target=2)
+        sim.run()
+        assert bot.state == NetbotState.DOCKED
+        assert ships[2].backplane.describe()["modules"] == ["fn.caching"]
+
+
+class TestNetbotJourneyTiming:
+    """Exact simulated times of a journey: a hop takes
+    ``hop_transit_time``, a link that fails mid-transit sends the bot
+    back to plan from where it stood, and a bot with no path re-plans
+    every ``hop_transit_time`` until it strands after 50 tries."""
+
+    @staticmethod
+    def _watch(sim):
+        seen = []
+        sim.trace.subscribe("netbot", lambda rec: seen.append(
+            (rec.time, rec.topic)))
+        return seen
+
+    def test_line_journey_times(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(3)
+        seen = self._watch(sim)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=10.0)
+        bot.dispatch(ships, target=2)
+        sim.run()
+        assert bot.itinerary == [(0.0, 0), (10.0, 1), (20.0, 2)]
+        assert seen == [(0.0, "netbot.depart"), (10.0, "netbot.hop"),
+                        (20.0, "netbot.hop"), (20.0, "netbot.dock")]
+        assert ships[2].reconfig_events[-1][0] == 20.0
+
+    def test_link_down_mid_transit_replans_from_origin(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(
+            4, topo_factory=ring_topology)
+        seen = self._watch(sim)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=10.0)
+        bot.dispatch(ships, target=1)
+        sim.call_at(5.0, topo.set_link_state, 0, 1, False)
+        sim.run(until=15.0)
+        # The transit toward 1 ended at t=10 on a dead link: the bot
+        # stayed at 0 and set off the long way round.
+        assert bot.location == 0
+        assert bot.hops_travelled == 0
+        assert bot.state == NetbotState.IN_TRANSIT
+        sim.run()
+        assert bot.itinerary == [(0.0, 0), (20.0, 3), (30.0, 2), (40.0, 1)]
+        assert bot.hops_travelled == 3
+        assert bot.state == NetbotState.DOCKED
+        assert seen == [(0.0, "netbot.depart"), (20.0, "netbot.hop"),
+                        (30.0, "netbot.hop"), (40.0, "netbot.hop"),
+                        (40.0, "netbot.dock")]
+
+    def test_strands_after_fifty_replans(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(3)
+        topo.set_link_state(1, 2, False)
+        seen = self._watch(sim)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=1.0)
+        bot.dispatch(ships, target=2)
+        sim.run()
+        assert seen == [(0.0, "netbot.depart"), (50.0, "netbot.stranded")]
+        assert bot.state == NetbotState.STRANDED
+        assert bot.location == 0
+
 
 class TestWanderingNetwork:
     def test_builds_ship_per_node(self):

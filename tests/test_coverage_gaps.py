@@ -9,7 +9,7 @@ from repro.substrates.nodeos import CodeCache, CodeModule, CpuScheduler
 from repro.substrates.phys import (Datagram, FailureInjector,
                                    NetworkFabric, Topology, TopologyError,
                                    line_topology, ring_topology)
-from repro.substrates.sim import LAZY, URGENT, Simulator, Store
+from repro.substrates.sim import LAZY, URGENT, Simulator
 from repro.viz import glyph
 from repro.workloads import ContentWorkload
 
@@ -23,16 +23,6 @@ class TestKernelCorners:
         sim.call_in(1.0, order.append, "normal")
         sim.run()
         assert order == ["urgent", "normal", "lazy"]
-
-    def test_store_get_cancel_releases_slot(self):
-        sim = Simulator()
-        store = Store(sim)
-        first = store.get()
-        second = store.get()
-        first.cancel()
-        store.put("item")
-        sim.run()
-        assert second.fired and second.value == "item"
 
     def test_agenda_lists_pending_in_order(self):
         sim = Simulator()

@@ -12,8 +12,7 @@ from repro.routing import StaticRouter, WLIAdaptiveRouter
 from repro.substrates.nodeos import CredentialAuthority
 from repro.substrates.phys import (Datagram, NetworkFabric, line_topology,
                                    star_topology)
-from repro.substrates.sim import (InterruptError, Resource, Signal,
-                                  Simulator, Timeout, spawn)
+from repro.substrates.sim import Simulator
 
 
 def two_ship_net(**kw):
@@ -28,80 +27,6 @@ def two_ship_net(**kw):
     for s in ships.values():
         s.nodeos.security.grant("op", "*")
     return sim, ships, cred
-
-
-class TestProcessEdgeCases:
-    def test_interrupt_while_waiting_on_signal(self):
-        sim = Simulator()
-        sig = Signal()
-        caught = []
-
-        def waiter():
-            try:
-                yield sig
-            except InterruptError as exc:
-                caught.append(exc.cause)
-
-        proc = spawn(sim, waiter())
-        sim.call_in(1.0, proc.interrupt, "now")
-        sim.run()
-        assert caught == ["now"]
-        assert sig.waiting == 0   # unregistered on interrupt
-
-    def test_cancel_queued_resource_grant(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def holder():
-            yield res.request()
-            order.append("holder")
-            yield Timeout(5.0)
-            res.release()
-
-        def victim():
-            grant = res.request()
-            sim.call_in(1.0, grant.cancel)
-            try:
-                yield grant
-                order.append("victim")  # pragma: no cover
-            except Exception:
-                pass
-
-        def third():
-            yield res.request()
-            order.append("third")
-            res.release()
-
-        spawn(sim, holder())
-        spawn(sim, victim())
-        spawn(sim, third())
-        sim.run(until=20.0)
-        # The cancelled victim never runs; third gets the grant.
-        assert order == ["holder", "third"]
-
-    def test_process_result_before_done_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(5.0)
-
-        p = spawn(sim, proc())
-        from repro.substrates.sim import SimulationError
-        with pytest.raises(SimulationError):
-            p.result
-
-    def test_interrupt_after_done_is_noop(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1.0)
-
-        p = spawn(sim, proc())
-        sim.run()
-        p.interrupt("late")   # must not raise
-        sim.run()
-        assert p.done
 
 
 class TestGenomeRoundtrip:
@@ -346,33 +271,6 @@ class TestDijkstraCrossValidation:
                 assert set(dist) == set(nx_dist)
                 for node in dist:
                     assert abs(dist[node] - nx_dist[node]) < 1e-9
-
-
-class TestWaitAllFailurePropagation:
-    def test_wait_all_raises_child_exception_in_parent(self):
-        from repro.substrates.sim import wait_all
-        sim = Simulator()
-
-        def ok():
-            yield Timeout(1.0)
-            return "fine"
-
-        def bad():
-            yield Timeout(2.0)
-            raise ValueError("child failed")
-
-        procs = [spawn(sim, ok()), spawn(sim, bad())]
-        caught = []
-
-        def parent():
-            try:
-                yield wait_all(sim, procs)
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        spawn(sim, parent())
-        sim.run()
-        assert caught == ["child failed"]
 
 
 class TestShuttleStructureContents:

@@ -134,6 +134,20 @@ class TestPaths:
         topo.set_link_state(0, 1, False)
         assert not topo.is_connected()
 
+    @pytest.mark.parametrize("weight", ["latency", "hops"])
+    def test_first_hops_match_paths(self, weight):
+        topo = grid_topology(3, 3)
+        topo.set_link_state((1, 1), (1, 2), False)
+        topo.set_node_state((2, 2), False)
+        for src in topo.nodes:
+            table = topo.first_hops(src, weight=weight)
+            expected = {}
+            for dst in topo.nodes:
+                path = topo.path(src, dst, weight=weight)
+                if dst != src and path is not None:
+                    expected[dst] = path[1]
+            assert table == expected
+
 
 class TestGenerators:
     def test_line(self):

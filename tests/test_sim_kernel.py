@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.substrates.sim import (SchedulingError, Signal, Simulator,
-                                  Timeout, spawn)
+from repro.substrates.sim import SchedulingError, Simulator
 
 from .kernel_oracle import simulator
 
@@ -156,186 +155,6 @@ class TestPeriodicTask:
             sim.every(0.0, lambda: None)
 
 
-class TestProcesses:
-    def test_timeout_sequencing(self):
-        sim = Simulator()
-        trail = []
-
-        def proc():
-            trail.append(("a", sim.now))
-            yield Timeout(2.0)
-            trail.append(("b", sim.now))
-            yield Timeout(3.0)
-            trail.append(("c", sim.now))
-
-        spawn(sim, proc())
-        sim.run()
-        assert trail == [("a", 0.0), ("b", 2.0), ("c", 5.0)]
-
-    def test_process_result(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1.0)
-            return 42
-
-        p = spawn(sim, proc())
-        sim.run()
-        assert p.done
-        assert p.result == 42
-
-    def test_join_waits_for_child(self):
-        sim = Simulator()
-        trail = []
-
-        def child():
-            yield Timeout(5.0)
-            return "payload"
-
-        def parent():
-            value = yield spawn(sim, child(), name="child")
-            trail.append((value, sim.now))
-
-        spawn(sim, parent())
-        sim.run()
-        assert trail == [("payload", 5.0)]
-
-    def test_join_already_finished_child(self):
-        sim = Simulator()
-        results = []
-
-        def child():
-            yield Timeout(1.0)
-            return "done"
-
-        child_proc = spawn(sim, child())
-
-        def parent():
-            yield Timeout(10.0)
-            value = yield child_proc
-            results.append(value)
-
-        spawn(sim, parent())
-        sim.run()
-        assert results == ["done"]
-
-    def test_signal_wakes_waiters_with_value(self):
-        sim = Simulator()
-        sig = Signal("test")
-        got = []
-
-        def waiter():
-            value = yield sig
-            got.append((value, sim.now))
-
-        spawn(sim, waiter())
-        spawn(sim, waiter())
-        sim.call_in(3.0, sig.trigger, "ping")
-        sim.run()
-        assert got == [("ping", 3.0), ("ping", 3.0)]
-
-    def test_signal_is_reusable(self):
-        sim = Simulator()
-        sig = Signal()
-        got = []
-
-        def waiter():
-            got.append((yield sig))
-            got.append((yield sig))
-
-        spawn(sim, waiter())
-        sim.call_in(1.0, sig.trigger, 1)
-        sim.call_in(2.0, sig.trigger, 2)
-        sim.run()
-        assert got == [1, 2]
-
-    def test_wait_on_bare_event(self):
-        sim = Simulator()
-        got = []
-        ev = sim.schedule(4.0)
-        ev.value = "evt"
-
-        def waiter():
-            got.append((yield ev))
-
-        spawn(sim, waiter())
-        sim.run()
-        assert got == ["evt"]
-
-    def test_process_exception_propagates_to_joiner(self):
-        sim = Simulator()
-        caught = []
-
-        def bad():
-            yield Timeout(1.0)
-            raise ValueError("boom")
-
-        def parent():
-            try:
-                yield spawn(sim, bad(), name="bad")
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        spawn(sim, parent())
-        sim.run()
-        assert caught == ["boom"]
-
-    def test_unjoined_process_exception_raises_from_run(self):
-        sim = Simulator()
-
-        def bad():
-            yield Timeout(1.0)
-            raise RuntimeError("unhandled")
-
-        spawn(sim, bad())
-        with pytest.raises(RuntimeError, match="unhandled"):
-            sim.run()
-
-    def test_interrupt_delivers_cause(self):
-        sim = Simulator()
-        from repro.substrates.sim import InterruptError
-        trail = []
-
-        def sleeper():
-            try:
-                yield Timeout(100.0)
-            except InterruptError as exc:
-                trail.append((exc.cause, sim.now))
-
-        p = spawn(sim, sleeper())
-        sim.call_in(2.0, p.interrupt, "wakeup")
-        sim.run()
-        assert trail == [("wakeup", 2.0)]
-
-    def test_cancel_stops_process(self):
-        sim = Simulator()
-        trail = []
-
-        def proc():
-            trail.append("start")
-            yield Timeout(10.0)
-            trail.append("never")
-
-        p = spawn(sim, proc())
-        sim.call_in(1.0, p.cancel)
-        sim.run()
-        assert trail == ["start"]
-        assert p.done
-
-    def test_yield_none_steps_without_time(self):
-        sim = Simulator()
-        trail = []
-
-        def proc():
-            trail.append(sim.now)
-            yield
-            trail.append(sim.now)
-
-        spawn(sim, proc())
-        sim.run()
-        assert trail == [0.0, 0.0]
-
-
 class TestDeterminism:
     def test_same_seed_same_draws(self):
         a = Simulator(seed=7).rng.stream("s")
@@ -386,22 +205,6 @@ class TestTraceBus:
         sim.trace.emit("a.bc")   # not a dotted descendant of a.b
         assert [r.topic for r in got] == ["a.b"]
 
-    def test_counter(self):
-        sim = Simulator()
-        counter = sim.trace.counter("x")
-        sim.trace.emit("x.one")
-        sim.trace.emit("x.one")
-        sim.trace.emit("x.two")
-        assert counter["x.one"] == 2
-        assert counter.total == 3
-
-    def test_record_all(self):
-        sim = Simulator()
-        records = sim.trace.record_all()
-        sim.call_in(2.0, sim.trace.emit, "later")
-        sim.run()
-        assert [(r.time, r.topic) for r in records] == [(2.0, "later")]
-
     def test_unsubscribe(self):
         sim = Simulator()
         got = []
@@ -409,67 +212,6 @@ class TestTraceBus:
         sim.trace.unsubscribe("t", got.append)
         sim.trace.emit("t")
         assert got == []
-
-
-class TestWaitCombinators:
-    def test_wait_all_collects_results_in_order(self):
-        from repro.substrates.sim import wait_all
-        sim = Simulator()
-
-        def worker(delay, value):
-            yield Timeout(delay)
-            return value
-
-        procs = [spawn(sim, worker(3.0, "slow")),
-                 spawn(sim, worker(1.0, "fast"))]
-        got = []
-
-        def parent():
-            results = yield wait_all(sim, procs)
-            got.append((results, sim.now))
-
-        spawn(sim, parent())
-        sim.run()
-        assert got == [(["slow", "fast"], 3.0)]
-
-    def test_wait_any_returns_first_finisher(self):
-        from repro.substrates.sim import wait_any
-        sim = Simulator()
-
-        def worker(delay, value):
-            yield Timeout(delay)
-            return value
-
-        procs = [spawn(sim, worker(5.0, "slow")),
-                 spawn(sim, worker(2.0, "fast"))]
-        got = []
-
-        def parent():
-            index, value = yield wait_any(sim, procs)
-            got.append((index, value, sim.now))
-
-        spawn(sim, parent())
-        sim.run()
-        assert got == [(1, "fast", 2.0)]
-
-    def test_wait_any_with_already_finished_process(self):
-        from repro.substrates.sim import wait_any
-        sim = Simulator()
-
-        def quick():
-            yield Timeout(1.0)
-            return "done"
-
-        proc = spawn(sim, quick())
-        sim.run()
-        got = []
-
-        def parent():
-            got.append((yield wait_any(sim, [proc])))
-
-        spawn(sim, parent())
-        sim.run()
-        assert got == [(0, "done")]
 
 
 class TestRunUntilPast:

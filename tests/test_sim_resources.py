@@ -2,132 +2,7 @@
 
 import pytest
 
-from repro.substrates.sim import (Resource, Simulator, Store, Timeout,
-                                  TokenBucket, WaitQueue, spawn)
-
-
-class TestResource:
-    def test_immediate_grant_under_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        trail = []
-
-        def user(tag):
-            yield res.request()
-            trail.append((tag, sim.now))
-            yield Timeout(5.0)
-            res.release()
-
-        spawn(sim, user("a"))
-        spawn(sim, user("b"))
-        sim.run()
-        assert trail == [("a", 0.0), ("b", 0.0)]
-
-    def test_fifo_queueing_when_full(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        trail = []
-
-        def user(tag, hold):
-            yield res.request()
-            trail.append((tag, sim.now))
-            yield Timeout(hold)
-            res.release()
-
-        spawn(sim, user("a", 3.0))
-        spawn(sim, user("b", 2.0))
-        spawn(sim, user("c", 1.0))
-        sim.run()
-        assert trail == [("a", 0.0), ("b", 3.0), ("c", 5.0)]
-
-    def test_release_idle_raises(self):
-        sim = Simulator()
-        res = Resource(sim)
-        from repro.substrates.sim import SimulationError
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_wait_time_accounting(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def user(hold):
-            yield res.request()
-            yield Timeout(hold)
-            res.release()
-
-        spawn(sim, user(4.0))
-        spawn(sim, user(1.0))
-        sim.run()
-        assert res.total_wait_time == pytest.approx(4.0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append(item)
-
-        store.put("x")
-        spawn(sim, consumer())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        spawn(sim, consumer())
-        sim.call_in(7.0, store.put, "late")
-        sim.run()
-        assert got == [("late", 7.0)]
-
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(3):
-            store.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        spawn(sim, consumer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_capacity_drops(self):
-        sim = Simulator()
-        store = Store(sim, capacity=2)
-        assert store.put(1)
-        assert store.put(2)
-        assert not store.put(3)
-        assert store.total_drops == 1
-        assert len(store) == 2
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put("y")
-        ok, item = store.try_get()
-        assert ok and item == "y"
+from repro.substrates.sim import Simulator, TokenBucket
 
 
 class TestTokenBucket:
@@ -163,25 +38,3 @@ class TestTokenBucket:
         sim = Simulator()
         with pytest.raises(ValueError):
             TokenBucket(sim, rate=0.0, burst=1.0)
-
-
-class TestWaitQueue:
-    def test_trigger_wakes_keyed_waiter(self):
-        sim = Simulator()
-        wq = WaitQueue()
-        got = []
-
-        def waiter(key):
-            value = yield wq.signal_for(key)
-            got.append((key, value))
-
-        spawn(sim, waiter("a"))
-        spawn(sim, waiter("b"))
-        sim.call_in(1.0, wq.trigger, "b", "result-b")
-        sim.run(until=5.0)
-        assert got == [("b", "result-b")]
-        assert wq.pending() == ["a"]
-
-    def test_trigger_unknown_key_is_noop(self):
-        wq = WaitQueue()
-        assert wq.trigger("missing") == 0
