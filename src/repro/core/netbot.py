@@ -16,7 +16,9 @@ waiting: *depart* emits ``netbot.depart`` and plans; *plan* docks on
 arrival, else schedules *arrive* at the next hop one
 ``hop_transit_time`` later (with no path it plans again after that
 long, and strands after 50 such re-plans); *arrive* steps across unless
-the link went down during transit, then plans.
+the link went down during transit, then plans.  A netbot that reaches a
+target missing from its ``ships`` map, or dead, strands there; every
+strand emits ``netbot.stranded``.
 """
 
 from __future__ import annotations
@@ -124,13 +126,20 @@ class Netbot:
 
     # -- docking --------------------------------------------------------------
     def _dock(self, ship) -> None:
-        """Driver first, then circuitry (footnote 6's synchronization)."""
+        """Driver first, then circuitry (footnote 6's synchronization).
+
+        A refused module takes back the driver its netbot installed; a
+        driver the ship already held stays.
+        """
         if ship is None or not ship.alive:
             self.state = NetbotState.STRANDED
+            self.sim.trace.emit("netbot.stranded", netbot=self.netbot_id,
+                                at=self.location)
             return
+        driver = self.module.driver
+        had_driver = ship.nodeos.has_driver(driver.code_id)
         try:
-            ship.nodeos.install_driver(self.module.driver,
-                                       cred=self.credential)
+            ship.nodeos.install_driver(driver, cred=self.credential)
         except PermissionError:
             self.state = NetbotState.REJECTED
             self.sim.trace.emit("netbot.rejected", netbot=self.netbot_id,
@@ -139,6 +148,8 @@ class Netbot:
         try:
             self.docked_slot = ship.backplane.dock(self.module, ship.nodeos)
         except HardwareError as exc:
+            if not had_driver:
+                ship.nodeos.remove_driver(driver.code_id)
             self.state = NetbotState.REJECTED
             self.sim.trace.emit("netbot.rejected", netbot=self.netbot_id,
                                 ship=ship.ship_id, reason=str(exc))

@@ -96,8 +96,7 @@ class Observability:
         """Rebuild the kernel's per-event hook from this facade's state:
         note the event in an armed flight ring while collecting, and
         with profiling on, time ``fire()`` and record the agenda depth
-        after it, the depth both run loops report.  ``None`` when there
-        is nothing to observe."""
+        after it.  ``None`` when there is nothing to observe."""
         sim = self.sim
         ring = self.flight_recorder if self.on else None
         prof = self.profiler if self.profiling else None
@@ -119,7 +118,7 @@ class Observability:
             ev.fire()
             record(name, t0,
                    perf_counter(),  # via: ignore[VIA003] host wall time is the profiled quantity
-                   len(agenda) + sim._batch_pending)
+                   len(agenda))
         sim._observe = observe
 
     # -- well-known instruments (MFP dimension -> metric mapping) ----------
@@ -260,8 +259,8 @@ class Observability:
             dimension=PER_METHOD, labels=("topic",))
         # per-configuration: kernel agenda health (mirrored from
         # Simulator.agenda_stats at every run() exit; the repro_kernel_
-        # prefix is digest-excluded because op tallies legitimately
-        # differ between the digest-equivalent run loops).
+        # prefix is digest-excluded because a K-shard run's op tallies
+        # legitimately differ from the single simulator's).
         self.kernel_agenda_ops = r.gauge(
             "repro_kernel_agenda_ops",
             "Kernel agenda lifetime operation counters, by op "

@@ -36,7 +36,7 @@ Shard-plane measurements (per-worker CPU, barrier stall, per-shard
 event counts) land in gauges prefixed ``repro_shard_`` with a ``shard``
 label.  :func:`registry_digest` excludes the ``repro_shard_``,
 ``repro_obs_`` and ``repro_kernel_`` prefixes — those families are
-per-partition, host-dependent or loop-dependent by definition — which
+per-partition or host-dependent by definition — which
 is what makes the merged digest identical across backends *and* worker
 counts.
 """
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .flight import render_flight
 from .registry import (Counter, Gauge, Histogram, MetricError,
@@ -60,9 +60,9 @@ SHARD_ID_STRIDE = 1_000_000_000
 #: Family-name prefixes excluded from :func:`registry_digest`:
 #: per-partition counts
 #: (handoffs/barriers fire only when sharded), host-dependent or
-#: cap-dependent self-metrics, and kernel agenda diagnostics (insert/
-#: pop/purge tallies vary across agenda implementations and loop
-#: strategies that are digest-equivalent by contract).
+#: cap-dependent self-metrics, and kernel agenda diagnostics (each
+#: shard's simulator keeps its own insert/pop/purge tallies, so a
+#: K-shard run's differ from the single simulator's).
 DIGEST_EXCLUDED_PREFIXES = ("repro_shard_", "repro_obs_", "repro_kernel_")
 
 _KIND_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
 from .substrates.sim import rng as _rng
 

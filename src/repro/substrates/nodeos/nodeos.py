@@ -146,6 +146,12 @@ class NodeOS:
                             driver=module.code_id)
         return delay
 
+    def remove_driver(self, code_id: str) -> None:
+        """Take back a driver whose hardware never docked."""
+        del self.drivers[code_id]
+        self.sim.trace.emit("nodeos.driver.remove", node=self.node_id,
+                            driver=code_id)
+
     def has_driver(self, code_id: str) -> bool:
         return code_id in self.drivers
 

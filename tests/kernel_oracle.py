@@ -1,10 +1,10 @@
 """The kernel's reference run loop, kept as a test oracle.
 
-:class:`ReferenceSimulator` is a :class:`Simulator` whose run loop is
-the one-event-at-a-time ``peek()``/``step()`` loop that the batched
-loop replaced.  Everything else (scheduling, the agenda, the same-instant
-batch bookkeeping, ``run()``'s prologue and epilogue) is inherited, so a
-test that drives both classes with the same steps diffs exactly the two
+:class:`ReferenceSimulator` is a :class:`Simulator` whose run loop
+calls ``peek()`` and ``step()`` once per event, the loop that
+``Simulator.run`` writes inline.  Everything else (scheduling, the
+agenda, ``run()``'s prologue and epilogue) is inherited, so a test
+that drives both classes with the same steps diffs exactly the two
 loops.
 """
 
@@ -14,9 +14,9 @@ _INF = float("inf")
 
 
 class ReferenceSimulator(Simulator):
-    """A simulator that runs the reference loop instead of batching."""
+    """A simulator that runs the reference loop instead of the inline one."""
 
-    def _run_batched(self, until, max_events):
+    def _loop(self, until, max_events):
         """Fire one event at a time: ``peek()``, then ``step()``."""
         executed = 0
         budget_hit = False
@@ -41,5 +41,5 @@ class ReferenceSimulator(Simulator):
 
 
 def simulator(fast, seed=0):
-    """A batched :class:`Simulator` when ``fast``, else the oracle."""
+    """The inline-loop :class:`Simulator` when ``fast``, else the oracle."""
     return (Simulator if fast else ReferenceSimulator)(seed=seed)

@@ -1,4 +1,4 @@
-"""The kernel run contract: batched loop ≡ reference loop.
+"""The kernel run contract: the inline loop ≡ the reference loop.
 
 Four layers of proof:
 
@@ -7,15 +7,17 @@ Four layers of proof:
   random schedule / cancel / same-instant injection / ``stop()`` /
   raising-callback / ``run(until=…)`` / ``run(max_events=…)`` steps,
   with deliberately colliding timestamps, and must agree on the fire
-  log, the clock, the counters, the peak depth and the pending agenda
-  after every step;
+  log, the clock, the counters, the agenda tallies, the peak depth and
+  the pending agenda after every step, and each must account for
+  every entry it was given;
 * **digest matrix** — every scenario reproduces its single-shard
   digest at K ∈ {1, 2, 4} shards;
-* **batched-loop semantics** — same-instant insertion (including
-  URGENT), ``stop()``, ``max_events`` and a raising callback mid-batch
-  leave the agenda exactly as the reference loop would;
-* **agenda stats export** — obs gauges and
-  ``Simulator.agenda_stats()``.
+* **same-instant semantics** — same-instant insertion (including
+  URGENT), ``stop()``, ``max_events`` and a raising callback amid
+  events sharing one timestamp leave the agenda exactly as the
+  reference loop would;
+* **agenda inspection and stats** — ``pending_events``, ``agenda()``,
+  ``Simulator.agenda_stats()`` and the obs gauges that mirror it.
 """
 
 import pytest
@@ -25,8 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.perf.harness import run_scenario
 from repro.perf.scenarios import SCENARIOS
-from repro.substrates.sim.agenda import HeapAgenda
-from repro.substrates.sim.events import LAZY, NORMAL, URGENT, Event
+from repro.substrates.sim.events import LAZY, NORMAL, URGENT
 from repro.substrates.sim.kernel import Simulator
 
 from .hypothesis_tiers import STATE_MACHINE_SETTINGS
@@ -39,27 +40,14 @@ class _Boom(Exception):
     """Raised by test callbacks; never raised by the kernel itself."""
 
 
-class TestHeapAgenda:
-    def test_pending_count_skips_dead_without_sorting(self):
-        agenda = HeapAgenda()
-        evs = [Event(float(i)) for i in range(10)]
-        for ev in evs:
-            agenda.push(ev)
-        for ev in evs[::2]:
-            ev.cancel()
-        assert agenda.pending_count() == 5
-        assert len(agenda) == 10  # dead entries still held
-        assert [e.time for e in agenda.ordered()] == [
-            1.0, 3.0, 5.0, 7.0, 9.0]
-
-
 # ----------------------------------------------------------------------
-# lockstep state machine: batched loop vs. reference loop
+# lockstep state machine: the inline loop vs. the reference loop
 # ----------------------------------------------------------------------
 
 class KernelLockstep(RuleBasedStateMachine):
     """Two simulators, one per run loop, driven by identical steps:
-    ``sims[True]`` batches, ``sims[False]`` is the reference oracle.
+    ``sims[True]`` runs the inline loop, ``sims[False]`` is the
+    reference oracle.
 
     Times are quarter-second multiples of ``now``, so they are exact
     floats and collide often; mixed priorities make the ``(priority,
@@ -73,7 +61,7 @@ class KernelLockstep(RuleBasedStateMachine):
         self.sims = {fast: simulator(fast, seed=5)
                      for fast in (True, False)}
         self.logs = {True: [], False: []}
-        self.handles = []      # (batched event, reference event) pairs
+        self.handles = []      # (inline event, reference event) pairs
         self.count = 0
 
     def _add(self, kind, offset, priority, child_priority=NORMAL):
@@ -133,8 +121,8 @@ class KernelLockstep(RuleBasedStateMachine):
     @rule(index=st.integers(0, 1000))
     def cancel(self, index):
         if self.handles:
-            batched, reference = self.handles[index % len(self.handles)]
-            assert batched.cancel() == reference.cancel()
+            inline, reference = self.handles[index % len(self.handles)]
+            assert inline.cancel() == reference.cancel()
 
     @rule(delta=st.integers(0, 8))
     def run_until(self, delta):
@@ -147,14 +135,26 @@ class KernelLockstep(RuleBasedStateMachine):
 
     @invariant()
     def loops_agree(self):
-        batched, reference = self.sims[True], self.sims[False]
+        inline, reference = self.sims[True], self.sims[False]
         assert self.logs[True] == self.logs[False]
-        assert batched.now == reference.now
-        assert batched.events_executed == reference.events_executed
-        assert batched.pending_events == reference.pending_events
-        assert batched.peak_agenda_depth == reference.peak_agenda_depth
-        assert [e.name for e in batched.agenda()] == \
+        assert inline.now == reference.now
+        assert inline.events_executed == reference.events_executed
+        assert inline.pending_events == reference.pending_events
+        assert inline.peak_agenda_depth == reference.peak_agenda_depth
+        assert [e.name for e in inline.agenda()] == \
             [e.name for e in reference.agenda()]
+        tallies = ("inserts", "pops", "purges", "depth", "peak_depth")
+        inline_stats = inline.agenda_stats()
+        reference_stats = reference.agenda_stats()
+        assert [inline_stats[k] for k in tallies] == \
+            [reference_stats[k] for k in tallies]
+
+    @invariant()
+    def every_entry_leaves_once(self):
+        for sim in self.sims.values():
+            stats = sim.agenda_stats()
+            assert stats["inserts"] == (stats["pops"] + stats["purges"]
+                                        + stats["depth"])
 
 
 TestKernelLockstep = KernelLockstep.TestCase
@@ -179,7 +179,7 @@ class TestDigestMatrix:
 
 
 # ----------------------------------------------------------------------
-# batched-loop semantics
+# same-instant semantics
 # ----------------------------------------------------------------------
 
 class TestBatchedDelivery:
@@ -189,8 +189,8 @@ class TestBatchedDelivery:
 
         def first():
             fired.append("first")
-            # Scheduled at the *current* batch instant: must fire
-            # within this batch, after the already-drained entries.
+            # Scheduled at the *current* instant: must fire at this
+            # instant, after the entries already pending at it.
             sim.call_at(sim.now, lambda: fired.append("injected"))
 
         sim.call_at(1.0, first)
@@ -238,10 +238,10 @@ class TestBatchedDelivery:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_stop_keeps_dead_suffix_entries_counted(self, fast):
-        """Regression: after ``stop()`` the batched loop used to purge a
-        cancelled entry behind the stopping event, which the reference
-        loop keeps until its next peek, so later pushes saw a depth one
-        lower and ``peak_agenda_depth`` diverged."""
+        """Regression: after ``stop()`` a cancelled entry behind the
+        stopping event stays counted until the next run's first peek,
+        so later pushes see the reference loop's depth (an earlier
+        loop purged it at once, and ``peak_agenda_depth`` diverged)."""
         sim = simulator(fast, seed=3)
         sim.call_at(1.0, lambda: None)
         sim.call_at(1.0, sim.stop)
@@ -255,9 +255,9 @@ class TestBatchedDelivery:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_raising_callback_keeps_unfired_suffix(self, fast):
-        """Regression: the batched loop used to drop the not-yet-fired
-        rest of a batch when a callback raised, so a second ``run()``
-        never fired it."""
+        """Regression: a callback that raises leaves the not-yet-fired
+        events of its instant pending, so a second ``run()`` fires them
+        (an earlier loop dropped them)."""
         fired = []
 
         def boom():
@@ -281,8 +281,55 @@ class TestBatchedDelivery:
 
 
 # ----------------------------------------------------------------------
-# agenda stats export
+# agenda inspection and stats
 # ----------------------------------------------------------------------
+
+class TestAgendaInspection:
+    def test_dead_entries_count_in_depth_not_pending(self):
+        sim = Simulator(seed=2)
+        evs = [sim.call_at(float(i), lambda: None) for i in range(9, -1, -1)]
+        for ev in evs[1::2]:
+            ev.cancel()                     # times 8, 6, 4, 2, 0
+        assert sim.pending_events == 5
+        assert sim.agenda_stats()["depth"] == 10  # dead entries still held
+        assert [e.time for e in sim.agenda()] == [
+            1.0, 3.0, 5.0, 7.0, 9.0]
+
+
+def _four_at_one_two_at_two(sim):
+    """Four events at t=1, the second cancelled, then two at t=2."""
+    for tag in "abcd":
+        ev = sim.call_at(1.0, lambda: None, name=tag)
+        if tag == "b":
+            ev.cancel()
+    for tag in "ef":
+        sim.call_at(2.0, lambda: None, name=tag)
+
+
+class TestAgendaTallies:
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_every_entry_is_popped_or_purged_once(self, fast):
+        sim = simulator(fast, seed=2)
+        _four_at_one_two_at_two(sim)
+        sim.run()
+        stats = sim.agenda_stats()
+        assert (stats["inserts"], stats["pops"], stats["purges"],
+                stats["depth"], stats["peak_depth"]) == (6, 5, 1, 0, 6)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_max_batch_counts_events_fired_at_one_time(self, split):
+        """The cancelled entry at t=1 fires nothing, so it is not
+        counted, and a run paused between two fires at t=1 counts
+        that time's fires together."""
+        sim = Simulator(seed=2)
+        _four_at_one_two_at_two(sim)
+        if split:
+            sim.run(max_events=2)
+            assert sim.now == 1.0
+        sim.run()
+        assert sim.events_executed == 5
+        assert sim.agenda_stats()["max_batch"] == 3
+
 
 class TestAgendaStatsExport:
     def test_obs_gauges_mirrored_and_digest_excluded(self):
@@ -294,8 +341,8 @@ class TestAgendaStatsExport:
         assert "repro_kernel_agenda_ops" in names
         assert "repro_kernel_agenda_depth" in names
         # Digest exclusion: mutating the kernel gauges must not move
-        # the metrics digest (they vary between the digest-equivalent
-        # run loops).
+        # the metrics digest (the tallies of a K-shard run differ from
+        # the single simulator's).
         before = sim.obs.metrics_digest()
         sim.obs.kernel_agenda_ops.set(10**9, op="insert")
         assert sim.obs.metrics_digest() == before

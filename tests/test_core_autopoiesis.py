@@ -262,6 +262,40 @@ class TestNetbot:
         assert ships[2].backplane.describe()["modules"] == ["fn.caching"]
 
 
+class TestNetbotRefusedDock:
+    """Regression: a module the backplane refused left the driver its
+    netbot had installed, so the ship kept the driver of hardware it
+    never received."""
+
+    @staticmethod
+    def _send(sim, ships, cred, function_id):
+        bot = Netbot(sim, HardwareModule(function_id), location=0,
+                     credential=cred, hop_transit_time=1.0)
+        bot.dispatch(ships, target=1)
+        sim.run()
+        return bot
+
+    def test_refused_module_takes_its_driver_back(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(2)
+        bots = [self._send(sim, ships, cred, fn)
+                for fn in ("fn.caching", "fn.fusion", "fn.boosting")]
+        assert [b.state for b in bots] == [
+            NetbotState.DOCKED, NetbotState.DOCKED, NetbotState.REJECTED]
+        nodeos = ships[1].nodeos
+        assert [nodeos.has_driver(b.module.driver.code_id)
+                for b in bots] == [True, True, False]
+        assert ships[1].backplane.rejections == 1
+
+    def test_driver_of_a_docked_module_stays(self):
+        sim, topo, fabric, ships, catalog, cred = small_network(2)
+        bots = [self._send(sim, ships, cred, fn)
+                for fn in ("fn.caching", "fn.caching", "fn.caching")]
+        assert [b.state for b in bots] == [
+            NetbotState.DOCKED, NetbotState.DOCKED, NetbotState.REJECTED]
+        assert ships[1].nodeos.has_driver("driver:fn.caching")
+        assert ships[1].backplane.rejections == 1
+
+
 class TestNetbotJourneyTiming:
     """Exact simulated times of a journey: a hop takes
     ``hop_transit_time``, a link that fails mid-transit sends the bot
@@ -308,6 +342,37 @@ class TestNetbotJourneyTiming:
         assert seen == [(0.0, "netbot.depart"), (20.0, "netbot.hop"),
                         (30.0, "netbot.hop"), (40.0, "netbot.hop"),
                         (40.0, "netbot.dock")]
+
+    def test_missing_target_strands_announced(self):
+        """Regression: a target missing from the ``ships`` map stranded
+        the netbot without a ``netbot.stranded`` record."""
+        sim, topo, fabric, ships, catalog, cred = small_network(3)
+        seen = self._watch(sim)
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=10.0)
+        bot.dispatch({0: ships[0], 1: ships[1]}, target=2)
+        sim.run()
+        assert bot.state == NetbotState.STRANDED
+        assert seen == [(0.0, "netbot.depart"), (10.0, "netbot.hop"),
+                        (20.0, "netbot.hop"), (20.0, "netbot.stranded")]
+
+    def test_target_dying_during_last_hop_strands_announced(self):
+        """Regression: a target that died while the netbot was on its
+        last hop stranded it without a ``netbot.stranded`` record."""
+        sim, topo, fabric, ships, catalog, cred = small_network(3)
+        seen = self._watch(sim)
+        strands = []
+        sim.trace.subscribe("netbot.stranded",
+                            lambda rec: strands.append(rec.fields))
+        bot = Netbot(sim, HardwareModule("fn.caching"), location=0,
+                     credential=cred, hop_transit_time=10.0)
+        bot.dispatch(ships, target=2)
+        sim.call_at(15.0, ships[2].die)
+        sim.run()
+        assert bot.state == NetbotState.STRANDED
+        assert seen == [(0.0, "netbot.depart"), (10.0, "netbot.hop"),
+                        (20.0, "netbot.hop"), (20.0, "netbot.stranded")]
+        assert strands == [{"netbot": bot.netbot_id, "at": 2}]
 
     def test_strands_after_fifty_replans(self):
         sim, topo, fabric, ships, catalog, cred = small_network(3)

@@ -214,6 +214,39 @@ class TestTraceBus:
         assert got == []
 
 
+class TestNonFiniteTimes:
+    """Regression: a NaN or infinite time used to be accepted, and the
+    two run loops then disagreed: given ``call_in(inf, f)`` and
+    ``call_in(1.0, g)``, one fired both and ended at ``now == inf``,
+    the other took ``peek()``'s inf for "nothing pending" and fired
+    only ``g``; a NaN time fired first, with the clock reading NaN."""
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"),
+                                       float("-inf")],
+                             ids=["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("entry", ["schedule_at", "call_at",
+                                       "schedule", "call_in", "every"])
+    def test_rejected_by_every_entry_point(self, entry, value):
+        sim = Simulator()
+        calls = {
+            "schedule_at": lambda: sim.schedule_at(value),
+            "call_at": lambda: sim.call_at(value, lambda: None),
+            "schedule": lambda: sim.schedule(value),
+            "call_in": lambda: sim.call_in(value, lambda: None),
+            "every": lambda: sim.every(value, lambda: None),
+        }
+        with pytest.raises(SchedulingError):
+            calls[entry]()
+        assert sim.agenda_stats()["inserts"] == 0
+
+    def test_delay_that_overflows_the_clock_rejected(self):
+        sim = Simulator()
+        sim.run(until=1e308)
+        with pytest.raises(SchedulingError):
+            sim.call_in(1e308, lambda: None)
+        assert sim.pending_events == 0
+
+
 class TestRunUntilPast:
     def test_run_until_past_rejected(self):
         sim = Simulator()
