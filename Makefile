@@ -121,7 +121,7 @@ obs-parallel-smoke:
 # containers.  CI installs both, so all three gates bind there.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint src/ tests/ benchmarks/ \
-		--statistics
+		examples/ --statistics
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests; \
 	else echo "lint: ruff not installed, skipping"; fi

@@ -36,7 +36,7 @@ def demand(wn):
     """The (fixed) demand both generations must serve."""
     web = ContentWorkload(wn.sim, wn.ships, clients=[3, 7], origin=0,
                           n_items=8, zipf_s=1.8, request_interval=0.4,
-                          name=f"web-{id(wn) % 1000}")
+                          name="web")
     media = MediaStreamSource(wn.sim, wn.ships, 2, 8, rate_pps=4.0)
     web.start()
     media.start()

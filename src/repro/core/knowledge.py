@@ -211,6 +211,9 @@ class KnowledgeBase:
         # the number of members whose unhashable value is not indexed.
         self._index: Dict[Tuple[str, Any], Fact] = {}
         self._unindexed: Dict[str, int] = {}
+        #: Moves exactly when the set of :meth:`classes` changes, so a
+        #: reader can keep what it derived from that set under this stamp.
+        self.class_version = 0
         self.evictions = 0
         self.inserts = 0
         # content_digest() cache: valid while the *membership* of the
@@ -236,10 +239,20 @@ class KnowledgeBase:
         if existing is not None:
             existing.touch(now, decay_rate=self.decay_rate)
             return existing
+        emptied = None
         if len(self._facts) >= self.capacity:
-            self._displace_weakest(now)
+            emptied = self._displace_weakest(now)
         self._facts[fact.fact_id] = fact
-        self._by_class.setdefault(fact.fact_class, []).append(fact.fact_id)
+        members = self._by_class.get(fact.fact_class)
+        if members is None:
+            self._by_class[fact.fact_class] = [fact.fact_id]
+        else:
+            members.append(fact.fact_id)
+        # The set changes when a class appeared or one was emptied,
+        # unless the displacement emptied the very class refilled here.
+        if (members is None or emptied is not None) \
+                and emptied != fact.fact_class:
+            self.class_version += 1
         try:
             self._index.setdefault((fact.fact_class, fact.value), fact)
         except TypeError:
@@ -267,13 +280,16 @@ class KnowledgeBase:
         return self.record(Fact(fact_class, value, created_at=now,
                                 source=source, weight=weight), now)
 
-    def _displace_weakest(self, now: float) -> None:
+    def _displace_weakest(self, now: float) -> Optional[str]:
+        """Remove the weakest fact; returns the class it emptied, if any."""
         victim = min(self._facts.values(),
                      key=lambda f: (f.weight(now, self.decay_rate), f.fact_id))
-        self._remove(victim)
         self.evictions += 1
+        return victim.fact_class if self._remove(victim) else None
 
-    def _remove(self, fact: Fact) -> None:
+    def _remove(self, fact: Fact) -> bool:
+        """Drop one fact; True when its class lost its last member.
+        The caller accounts for ``class_version``."""
         del self._facts[fact.fact_id]
         self._digest_dirty = True
         key = (fact.fact_class, fact.value)
@@ -291,8 +307,9 @@ class KnowledgeBase:
             members.remove(fact.fact_id)
         except ValueError:
             pass
-        if not members:
-            self._by_class.pop(fact.fact_class, None)
+        if members:
+            return False
+        return self._by_class.pop(fact.fact_class, None) is not None
 
     # -- queries --------------------------------------------------------------
     def find(self, fact_class: str, value: Any) -> Optional[Fact]:
@@ -338,8 +355,11 @@ class KnowledgeBase:
         """Evict every fact below its frequency threshold; returns them."""
         dead = [f for f in self._facts.values()
                 if not f.alive(now, self.decay_rate)]
+        emptied = False
         for fact in dead:
-            self._remove(fact)
+            emptied |= self._remove(fact)
+        if emptied:
+            self.class_version += 1
         self.evictions += len(dead)
         return dead
 

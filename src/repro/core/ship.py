@@ -106,6 +106,30 @@ class _ReceivePlan:
         self.ops = role.cpu_ops_per_packet / speedup
 
 
+class _StructureRecord:
+    """The ship's DCP structure, built once and kept while the ship's
+    class and its fabric's, backplane's and knowledge base's versions
+    are the ones it was built with; acquiring or releasing a role drops
+    it.  Those are everything :meth:`Ship.structure` reads."""
+
+    __slots__ = ("ship_class", "fabric_version", "backplane_version",
+                 "class_version", "structure")
+
+    def __init__(self, ship: "Ship"):
+        self.ship_class = ship.ship_class
+        self.fabric_version = ship.fabric_hw.version
+        self.backplane_version = ship.backplane.version
+        self.class_version = ship.knowledge.class_version
+        self.structure = {
+            "functions": tuple(sorted(ship.roles)),
+            "hardware": tuple(sorted(
+                set(ship.fabric_hw.describe()["functions"])
+                | set(ship.backplane.describe()["modules"]))),
+            "knowledge": tuple(sorted(ship.knowledge.classes())),
+            "interface": ship.interface,
+        }
+
+
 class Ship(Ployon):
     """An active mobile re-configurable node of a Wandering Network."""
 
@@ -156,6 +180,7 @@ class Ship(Ployon):
         self.roles: Dict[str, Dict[str, Any]] = {}
         self.active_role_id: Optional[str] = None
         self._plan: Optional[_ReceivePlan] = None
+        self._structure: Optional[_StructureRecord] = None
         self.role_changes: List[Tuple[float, Optional[str], str]] = []
 
         self._delivery_handlers: List[DeliveryHandler] = []
@@ -214,14 +239,21 @@ class Ship(Ployon):
     # Ployon structure (the DCP vocabulary)
     # ------------------------------------------------------------------
     def structure(self) -> Dict[str, Any]:
-        return {
-            "functions": tuple(sorted(self.roles)),
-            "hardware": tuple(sorted(
-                set(self.fabric_hw.describe()["functions"])
-                | set(self.backplane.describe()["modules"]))),
-            "knowledge": tuple(sorted(self.knowledge.classes())),
-            "interface": self.interface,
-        }
+        """The ship's roles, hardware functions, knowledge classes and
+        interface, as a fresh dict the caller may keep or change."""
+        return dict(self._current_structure())
+
+    def _current_structure(self) -> Dict[str, Any]:
+        """The cached :meth:`structure`, rebuilt only when it changed;
+        one dock that changes nothing sees one object before and after.
+        Callers must not mutate it."""
+        record = self._structure
+        if (record is None or record.ship_class != self.ship_class
+                or record.fabric_version != self.fabric_hw.version
+                or record.backplane_version != self.backplane.version
+                or record.class_version != self.knowledge.class_version):
+            record = self._structure = _StructureRecord(self)
+        return record.structure
 
     @property
     def interface(self) -> Tuple[str, ...]:
@@ -260,7 +292,7 @@ class Ship(Ployon):
                                role.supporting_fact_classes)
         self.roles[role.role_id] = {"role": role, "modal": modal,
                                     "ee": ee_label, "function": function}
-        self._plan = None
+        self._plan = self._structure = None
         # PMP.3 bootstrap: a fresh function starts with one implanted
         # experience per supporting class, giving it a decaying initial
         # lifetime that only real demand can prolong.
@@ -276,7 +308,7 @@ class Ship(Ployon):
         meta = self.roles.pop(role_id, None)
         if meta is None:
             raise ShipError(f"{self.ship_id} has no role {role_id}")
-        self._plan = None
+        self._plan = self._structure = None
         if self.active_role_id == role_id:
             meta["role"].on_deactivate(self)
             self.active_role_id = None
@@ -698,7 +730,7 @@ class Ship(Ployon):
                                     reason=verdict.reason_code)
                 self._finish_arq(arq, report)
                 return report
-        ship_before = self.structure()
+        ship_before = self._current_structure()
         # Interpretation costs CPU proportional to cargo size.
         self.nodeos.execute_capsule(shuttle.size_bytes, category="shuttle")
         for directive in shuttle.directives:
@@ -706,9 +738,9 @@ class Ship(Ployon):
             report[outcome].append(directive.op)
             if observing:
                 obs.directives.inc(op=directive.op, outcome=outcome)
-        ship_after = self.structure()
         self.congruence.record_processed(self.sim.now, shuttle.structure(),
-                                         ship_before, ship_after)
+                                         ship_before,
+                                         self._current_structure())
         self.shuttles_processed += 1
         if observing:
             obs.shuttle_events.inc(node=self.ship_id, event="process")
@@ -978,7 +1010,7 @@ class Ship(Ployon):
                           credential=credential,
                           interface=self.interface)
         self.congruence.record_emitted(self.sim.now, shuttle.structure(),
-                                       self.structure())
+                                       self._current_structure())
         return shuttle
 
     def make_genome_shuttle(self, dst: Hashable, credential=None,
@@ -990,7 +1022,7 @@ class Ship(Ployon):
                       activate=activate)],
             credential=credential, interface=self.interface)
         self.congruence.record_emitted(self.sim.now, shuttle.structure(),
-                                       self.structure())
+                                       self._current_structure())
         return shuttle
 
     def propagate_function(self, role_id: str, credential=None) -> int:

@@ -340,12 +340,15 @@ class ShardScaling(_GridScenario):
 
     Designed to *scale*: work is spread evenly over all nodes (one
     driver per node), each shuttle carries a unique knowledge quantum
-    whose full admission vet is the dominant CPU cost (unique payloads
-    defeat the verdict memo on purpose), and the grid's 0.05 latency
-    gives the shard executor a wide lookahead — few barriers, long
-    epochs.  All quanta are byte-for-byte the same *size* (fixed-width
-    fact values), so token-bucket waits are a pure function of the
-    per-link arrival multiset, not of tie-break order.
+    (unique payloads defeat the verdict memo on purpose), and the
+    grid's 0.05 latency gives the shard executor a wide lookahead — few
+    barriers, long epochs.  The dominant CPU cost is absorbing the
+    quanta into full knowledge bases: at ``short`` scale, 1,152
+    displacements each scan all 512 facts for the weakest, about 85 %
+    of a single-shard run under cProfile, against 2 % for the vet.
+    All quanta are byte-for-byte the same *size* (fixed-width fact
+    values), so token-bucket waits are a pure function of the per-link
+    arrival multiset, not of tie-break order.
     """
 
     name = "shard-scaling"

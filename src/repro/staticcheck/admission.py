@@ -78,6 +78,12 @@ DIRECTIVE_SCHEMAS: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
     OP_REQUEST_STATE: ({}, {"reply_to": (object,)}),
 }
 
+#: DIRECTIVE_SCHEMAS with each schema's arguments sorted by name, the
+#: order in which the vet checks and reports them.
+_SORTED_SCHEMAS = {
+    op: (tuple(sorted(required.items())), tuple(sorted(optional.items())))
+    for op, (required, optional) in DIRECTIVE_SCHEMAS.items()}
+
 #: op -> NodeOS action the runtime interpreter will demand (for the
 #: authorization mode; mirrors Ship._apply_directive / NodeOS).
 REQUIRED_ACTIONS: Dict[str, str] = {
@@ -126,6 +132,10 @@ class Verdict(NamedTuple):
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: The one verdict every accepted payload gets.
+_ACCEPTED = Verdict(ok=True, reasons=(), lint_rules=())
+
+
 class AdmissionVerifier:
     """Statically vets shuttle payloads before a ship executes them.
 
@@ -169,7 +179,12 @@ class AdmissionVerifier:
         if not check_authorization:
             key = self._payload_key(shuttle)
             if key is not None:
-                cached = self._verdicts.get(key)
+                try:
+                    cached = self._verdicts.get(key)
+                except TypeError:
+                    # A tampered op or manifest entry that cannot be
+                    # hashed: the payload is vetted cold, not memoized.
+                    key = cached = None
                 if cached is not None:
                     self._verdicts.move_to_end(key)
                     self.verdict_cache_hits += 1
@@ -201,9 +216,11 @@ class AdmissionVerifier:
             reasons.append(f"{REASON_MANIFEST_MISMATCH}: directives do "
                            f"not match the construction-time manifest")
         for index, directive in enumerate(directives):
-            reasons.extend(self._check_directive(index, directive))
+            self._check_directive(index, directive, reasons)
         if self.lint_mobile_code:
             for module in shuttle.carried_code():
+                if not isinstance(module, CodeModule):
+                    continue  # a mistyped module arg is reported above
                 hits = self._lint_code_module(module)
                 if hits:
                     lint_rules.extend(hits)
@@ -212,11 +229,11 @@ class AdmissionVerifier:
                         f"{','.join(hits)}")
         if check_authorization and ship is not None:
             reasons.extend(self._check_authorization(shuttle, ship))
-        verdict = Verdict(ok=not reasons, reasons=tuple(reasons),
-                          lint_rules=tuple(lint_rules))
-        if not verdict.ok:
-            self.rejections += 1
-        return verdict
+        if not reasons:
+            return _ACCEPTED
+        self.rejections += 1
+        return Verdict(ok=False, reasons=tuple(reasons),
+                       lint_rules=tuple(lint_rules))
 
     # -- verdict memo ------------------------------------------------------
     @staticmethod
@@ -277,14 +294,19 @@ class AdmissionVerifier:
         return tuple(parts)
 
     # -- directive schemas -------------------------------------------------
-    def _check_directive(self, index: int, directive) -> List[str]:
+    def _check_directive(self, index: int, directive,
+                         problems: List[str]) -> None:
+        """Append what is wrong with one directive to ``problems``."""
         op = getattr(directive, "op", None)
+        # A tuple scan, not a dict lookup: an unhashable op is reported,
+        # not raised.
         if op not in ALL_OPS:
-            return [f"{REASON_UNKNOWN_OP}: directive[{index}] op={op!r}"]
-        required, optional = DIRECTIVE_SCHEMAS[op]
-        problems: List[str] = []
+            problems.append(
+                f"{REASON_UNKNOWN_OP}: directive[{index}] op={op!r}")
+            return
+        required, optional = _SORTED_SCHEMAS[op]
         args = directive.args
-        for name, types in sorted(required.items()):
+        for name, types in required:
             if name not in args:
                 problems.append(
                     f"{REASON_MALFORMED_DIRECTIVE}: directive[{index}] "
@@ -294,7 +316,7 @@ class AdmissionVerifier:
                     f"{REASON_MALFORMED_DIRECTIVE}: directive[{index}] "
                     f"{op} arg {name!r} has type "
                     f"{type(args[name]).__name__}")
-        for name, types in sorted(optional.items()):
+        for name, types in optional:
             if name in args and object not in types \
                     and not isinstance(args[name], types):
                 problems.append(
@@ -303,12 +325,11 @@ class AdmissionVerifier:
                     f"{type(args[name]).__name__}")
         if op == OP_DEPLOY_QUANTUM and isinstance(args.get("quantum"),
                                                   KnowledgeQuantum):
-            problems.extend(self._check_quantum(index, args["quantum"]))
-        return problems
+            self._check_quantum(index, args["quantum"], problems)
 
     @staticmethod
-    def _check_quantum(index: int, kq: KnowledgeQuantum) -> List[str]:
-        problems: List[str] = []
+    def _check_quantum(index: int, kq: KnowledgeQuantum,
+                       problems: List[str]) -> None:
         if not isinstance(kq.function_id, str) or not kq.function_id:
             problems.append(f"{REASON_MALFORMED_QUANTUM}: "
                             f"directive[{index}] empty function_id")
@@ -329,7 +350,6 @@ class AdmissionVerifier:
                                 f"directive[{index}] ill-formed fact "
                                 f"snapshot")
                 break
-        return problems
 
     # -- carried-code determinism lint --------------------------------------
     def _lint_code_module(self, module: CodeModule) -> Tuple[str, ...]:

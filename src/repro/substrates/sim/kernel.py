@@ -215,14 +215,21 @@ class Simulator:
         legal for any ``t >= now`` (external event injection).  The
         clock reaches ``until`` unless ``stop()`` or ``max_events``
         ended the run; after a ``max_events`` break it stays at the
-        last executed event (never clamped past pending work).  A
-        callback that raises ends the run with the rest of the agenda
-        still pending.
+        last executed event (never clamped past pending work).
+        ``until=inf`` runs as ``until=None`` does: to exhaustion, with
+        the clock at the last executed event.  A NaN ``until`` raises
+        :class:`SchedulingError`.  A callback that raises ends the run
+        with the rest of the agenda still pending.
         """
         self._stopped = False
-        if until is not None and until < self._now:
-            raise SchedulingError(
-                f"run(until={until}) is in the past (now={self._now})")
+        if until is not None:
+            if until != until:
+                raise SchedulingError("run(until=nan) has no horizon")
+            if until < self._now:
+                raise SchedulingError(
+                    f"run(until={until}) is in the past (now={self._now})")
+            if until == _INF:
+                until = None
         try:
             self._loop(until, max_events)
         finally:

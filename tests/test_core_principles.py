@@ -51,7 +51,9 @@ class TestCongruence:
                   "interface": ()}
         after = {"functions": ("f",), "hardware": (), "knowledge": (),
                  "interface": ()}
-        tracker.record_processed(1.0, shuttle, before, after)
+        assert tracker.record_processed(1.0, shuttle, before, after) is None
+        assert tracker.history() == [(1.0, congruence(before, shuttle),
+                                      congruence(after, shuttle))]
         assert tracker.reflection_gain() > 0
         assert tracker.shuttles_processed == 1
 
@@ -61,7 +63,21 @@ class TestCongruence:
              "interface": ()}
         for i in range(10):
             tracker.record_processed(float(i), s, s, s)
-        assert len(tracker.history()) == 3
+        assert tracker.history() == [(7.0, 1.0, 1.0), (8.0, 1.0, 1.0),
+                                     (9.0, 1.0, 1.0)]
+        assert tracker.shuttles_processed == 10
+
+    def test_tracker_scores_emissions_when_read(self):
+        tracker = CongruenceTracker(window=2)
+        ship = {"functions": ("f",), "hardware": (), "knowledge": (),
+                "interface": ("i",)}
+        shuttles = [dict(ship, functions=fns)
+                    for fns in [("g",), ("f",), ("f", "g")]]
+        for i, shuttle in enumerate(shuttles):
+            assert tracker.record_emitted(float(i), shuttle, ship) is None
+        assert tracker.shuttles_emitted == 3
+        assert tracker.emission_congruence() == (
+            congruence(ship, shuttles[1]) + congruence(ship, shuttles[2])) / 2
 
 
 class TestGenerations:

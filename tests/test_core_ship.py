@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.congruence import CongruenceTracker, congruence
 from repro.core.generations import Generation
 from repro.core.ship import Ship, ShipError
 from repro.core.shuttle import (OP_ACQUIRE_ROLE, OP_ACTIVATE_ROLE,
@@ -279,6 +280,62 @@ class TestShuttleProcessing:
         ships[1].generation = Generation.G2
         report = ships[1].process_shuttle(shuttle, 0)
         assert report["denied"] == [OP_TRANSCRIBE_GENOME]
+
+
+class TestDockStructure:
+    """The ship's DCP structure is cached between changes; a dock that
+    changes nothing records one object as before and after."""
+
+    def test_mutating_structure_changes_neither_cache_nor_scores(self):
+        sim, topo, fabric, ships, cred = make_network(2)
+        ship = ships[1]
+        ship.process_shuttle(Shuttle(0, 1, directives=[
+            Directive(OP_ACQUIRE_ROLE, role_id=CachingRole.role_id)],
+            credential=cred), 0)
+        ship.make_role_shuttle(CachingRole.role_id, 0, credential=cred)
+        tracker = ship.congruence
+        scores = (tracker.history(), tracker.reflection_gain(),
+                  tracker.emission_congruence())
+        want = ship.structure()
+        got = ship.structure()
+        assert got is not want
+        got["functions"] = ("fn.forged",)
+        got.clear()
+        assert ship.structure() == want
+        assert (tracker.history(), tracker.reflection_gain(),
+                tracker.emission_congruence()) == scores
+
+    def test_unchanging_dock_records_one_object(self):
+        sim, topo, fabric, ships, cred = make_network(2)
+        ship = ships[1]
+        ship.congruence = CongruenceTracker(window=3)
+        shuttles = [Shuttle(0, 1, directives=[
+            Directive(OP_SET_NEXT_STEP, role_id=CachingRole.role_id)],
+            credential=cred) for _ in range(5)]
+        for shuttle in shuttles:
+            ship.process_shuttle(shuttle, 0)
+        records = list(ship.congruence._processed)
+        assert len(records) == 3
+        assert all(after is before for _, _, before, after in records)
+        # One build serves every dock that left the structure alone.
+        assert all(before is records[0][2] for _, _, before, _ in records)
+        want = [(sim.now, congruence(ship.structure(), shuttle.structure()),
+                 congruence(ship.structure(), shuttle.structure()))
+                for shuttle in shuttles[-3:]]
+        assert ship.congruence.history() == want
+        assert ship.congruence.reflection_gain() == 0.0
+        assert ship.congruence.shuttles_processed == 5
+
+    def test_changing_dock_records_two_objects(self):
+        sim, topo, fabric, ships, cred = make_network(2)
+        ship = ships[1]
+        ship.process_shuttle(Shuttle(0, 1, directives=[
+            Directive(OP_ACQUIRE_ROLE, role_id=CachingRole.role_id)],
+            credential=cred), 0)
+        (_, _, before, after), = ship.congruence._processed
+        assert after is not before
+        assert CachingRole.role_id not in before["functions"]
+        assert after == ship.structure()
 
 
 class TestJets:

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Hashable
 
 import pytest
@@ -14,10 +14,14 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.analysis import entropy
 from repro.core import Netbot, NetbotState
-from repro.core.congruence import congruence
-from repro.core.knowledge import MAX_WEIGHT, Fact, KnowledgeBase
+from repro.core.congruence import CongruenceTracker, congruence
+from repro.core.knowledge import (MAX_WEIGHT, Fact, KnowledgeBase,
+                                  KnowledgeQuantum)
 from repro.core.ship import Ship, ShipError
-from repro.core.shuttle import OP_ACTIVATE_ROLE, Directive, Jet, Shuttle
+from repro.core.shuttle import (OP_ACQUIRE_ROLE, OP_ACTIVATE_ROLE,
+                                OP_DEPLOY_QUANTUM, OP_LOAD_BITSTREAM,
+                                OP_RELEASE_ROLE, OP_SET_NEXT_STEP, Directive,
+                                Jet, Shuttle)
 from repro.functions import (CachingRole, NextStepRole,
                              SecurityManagementRole, TranscodingRole)
 from repro.functions.base import payload_kind
@@ -213,6 +217,7 @@ class TestFactIndexAgainstScan:
         kb = KnowledgeBase(capacity=capacity)
         ref = ScanKnowledgeBase(capacity=capacity)
         now = 0.0
+        classes, version = set(), kb.class_version
         for op in ops:
             if op[0] == "record":
                 _, cls, value, weight, threshold = op
@@ -241,6 +246,10 @@ class TestFactIndexAgainstScan:
                 now += op[1]
                 assert _fact_rows(kb.sweep(now)) == _fact_rows(ref.sweep(now))
             assert _fact_rows(kb.all_facts()) == _fact_rows(ref.all_facts())
+            # The class-set stamp moves exactly when the set does.
+            assert (kb.class_version != version) \
+                == (set(kb.classes()) != classes)
+            classes, version = set(kb.classes()), kb.class_version
             # The cached digest matches a recompute: every insertion
             # and removal invalidated it.
             assert kb.content_digest() == recomputed_digest(kb)
@@ -715,13 +724,14 @@ class _PlanWorld:
     every injected packet; a small fabric and one module slot make
     refused loads and docks reachable."""
 
-    def __init__(self, ship_cls):
+    def __init__(self, ship_cls, knowledge_capacity=512):
         self.sim = Simulator(seed=23)
         topo = line_topology(3)
         fabric = NetworkFabric(self.sim, topo)
         static = StaticRouter(topo)
         self.ships = {node: ship_cls(self.sim, fabric, node, router=static,
-                                     hw_cells=1024, hw_slots=1)
+                                     hw_cells=1024, hw_slots=1,
+                                     knowledge_capacity=knowledge_capacity)
                       for node in topo.nodes}
         for ship in self.ships.values():
             ship.nodeos.security.grant(_OPERATOR, "*")
@@ -773,20 +783,14 @@ class _PlanWorld:
         return rows
 
 
-class ReceivePlanOracleMachine(RuleBasedStateMachine):
-    """Two identical networks in lockstep, one receiving through plans
-    and one through :class:`PerPacketShip`; every step must leave them
-    equal.  Each reconfiguration is followed by one probe packet
-    through the middle ship, so a plan that outlives it shows at once
-    instead of only when a random packet happens to follow."""
+class _ReconfigurationSteps(RuleBasedStateMachine):
+    """Steps that reconfigure the middle ship of every world alike:
+    roles, fabric regions and docked modules.  Each is followed by
+    :meth:`_probe`, so a cache that outlives a reconfiguration shows at
+    once instead of only when a random step happens to read it."""
 
-    def __init__(self):
-        super().__init__()
-        self.worlds = (_PlanWorld(Ship), _PlanWorld(PerPacketShip))
-
-    def _probe(self, kind="media"):
-        for world in self.worlds:
-            world.ship.receive(world.packet(kind, 0, 2, None, False), 0)
+    def _probe(self):
+        raise NotImplementedError
 
     def _role_id(self, world, role):
         if role is not None:
@@ -899,6 +903,21 @@ class ReceivePlanOracleMachine(RuleBasedStateMachine):
                 docked[0].undock(world.ship)
         self._probe()
 
+
+class ReceivePlanOracleMachine(_ReconfigurationSteps):
+    """Two identical networks in lockstep, one receiving through plans
+    and one through :class:`PerPacketShip`; every step must leave them
+    equal.  Each reconfiguration is followed by one probe packet
+    through the middle ship."""
+
+    def __init__(self):
+        super().__init__()
+        self.worlds = (_PlanWorld(Ship), _PlanWorld(PerPacketShip))
+
+    def _probe(self, kind="media"):
+        for world in self.worlds:
+            world.ship.receive(world.packet(kind, 0, 2, None, False), 0)
+
     @rule(name=st.sampled_from(["static", "claiming", "none"]))
     def swap_router(self, name):
         for world in self.worlds:
@@ -931,6 +950,174 @@ class ReceivePlanOracleMachine(RuleBasedStateMachine):
 TestReceivePlanOracle = ReceivePlanOracleMachine.TestCase
 TestReceivePlanOracle.settings = settings(STATE_MACHINE_SETTINGS,
                                           stateful_step_count=30)
+
+
+# ----------------------------------------------------------------------
+# The dock pass: the stamped structure and on-read scores against a
+# per-dock rebuild scored at record time
+# ----------------------------------------------------------------------
+
+class RecordTimeTracker(CongruenceTracker):
+    """Reference tracker: scores each record when it is made and keeps
+    only the scores, as the tracker did before it scored on read."""
+
+    def __init__(self, window=64):
+        super().__init__(window)
+        self._scores = deque(maxlen=window)
+        self._emit_scores = deque(maxlen=window)
+
+    def record_processed(self, now, shuttle_structure, ship_before,
+                         ship_after):
+        self._scores.append((now, congruence(ship_before, shuttle_structure),
+                             congruence(ship_after, shuttle_structure)))
+        self.shuttles_processed += 1
+
+    def record_emitted(self, now, shuttle_structure, ship_structure):
+        self._emit_scores.append(
+            (now, congruence(ship_structure, shuttle_structure)))
+        self.shuttles_emitted += 1
+
+    def reflection_gain(self):
+        if not self._scores:
+            return 0.0
+        return sum(after - before
+                   for _, before, after in self._scores) / len(self._scores)
+
+    def emission_congruence(self):
+        if not self._emit_scores:
+            return 0.0
+        return sum(score for _, score in self._emit_scores) \
+            / len(self._emit_scores)
+
+    def history(self):
+        return list(self._scores)
+
+
+class PerDockShip(Ship):
+    """Reference structure: rebuilt from the roles, the fabric, the
+    backplane and the knowledge base on every call, so a dock builds it
+    twice; its tracker scores at record time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.congruence = RecordTimeTracker()
+
+    def _current_structure(self):
+        return {
+            "functions": tuple(sorted(self.roles)),
+            "hardware": tuple(sorted(
+                set(self.fabric_hw.describe()["functions"])
+                | set(self.backplane.describe()["modules"]))),
+            "knowledge": tuple(sorted(self.knowledge.classes())),
+            "interface": self.interface,
+        }
+
+
+#: Fact classes a docked quantum carries: two that roles bootstrap,
+#: two that only quanta bring.
+_DOCK_CLASSES = (CachingRole.supporting_fact_classes[0],
+                 TranscodingRole.supporting_fact_classes[0], "kq.a", "kq.b")
+_DOCK_ROLE_OPS = {"acquire": OP_ACQUIRE_ROLE, "release": OP_RELEASE_ROLE,
+                  "activate": OP_ACTIVATE_ROLE,
+                  "next-step": OP_SET_NEXT_STEP}
+_dock_fact = st.tuples(st.sampled_from(_DOCK_CLASSES),
+                       st.integers(min_value=0, max_value=3),
+                       st.sampled_from([0.3, 1.0, 4.0]))
+_dock_directive = st.one_of(
+    st.tuples(st.sampled_from(sorted(_DOCK_ROLE_OPS)), _PLAN_ROLES),
+    st.tuples(st.just("quantum"), _PLAN_ROLES,
+              st.lists(_dock_fact, max_size=3), st.booleans()),
+    st.tuples(st.just("bitstream"), _PLAN_ROLES))
+
+
+def _dock_directive_of(spec):
+    kind, role = spec[0], spec[1]
+    if kind == "quantum":
+        snaps = [{"fact_class": cls, "value": value, "weight": weight,
+                  "source": 0} for cls, value, weight in spec[2]]
+        return Directive(OP_DEPLOY_QUANTUM, auto_acquire=spec[3],
+                         quantum=KnowledgeQuantum(role.role_id, snaps,
+                                                  origin=0))
+    if kind == "bitstream":
+        return Directive(OP_LOAD_BITSTREAM,
+                         bitstream=Bitstream(role.role_id,
+                                             cells=role.hw_cells))
+    return Directive(_DOCK_ROLE_OPS[kind], role_id=role.role_id)
+
+
+class DockOracleMachine(_ReconfigurationSteps):
+    """Two identical networks in lockstep, one docking through the
+    structure stamp and the on-read tracker, one through
+    :class:`PerDockShip`; after every step the structures must be equal
+    and the DCP scores equal with ``==``.  Each reconfiguration is
+    followed by one dock that changes nothing.  A knowledge capacity of
+    six makes displacement common."""
+
+    def __init__(self):
+        super().__init__()
+        self.worlds = (_PlanWorld(Ship, knowledge_capacity=6),
+                       _PlanWorld(PerDockShip, knowledge_capacity=6))
+
+    def _dock(self, specs):
+        reports = [world.ship.process_shuttle(
+            Shuttle(0, 1, credential=world.cred,
+                    directives=[_dock_directive_of(spec) for spec in specs]),
+            0) for world in self.worlds]
+        assert reports[0] == reports[1]
+
+    def _probe(self):
+        self._dock([("next-step", CachingRole)])
+
+    @rule(specs=st.lists(_dock_directive, min_size=1, max_size=4))
+    def dock_shuttle(self, specs):
+        self._dock(specs)
+
+    @rule(cls=st.sampled_from(_DOCK_CLASSES),
+          value=st.integers(min_value=0, max_value=5))
+    def record(self, cls, value):
+        for world in self.worlds:
+            world.ship.record_fact(cls, value)
+        self._probe()
+
+    @rule(dt=st.sampled_from([1.0, 60.0, 200.0]))
+    def expire(self, dt):
+        for world in self.worlds:
+            world.sim.run(until=world.sim.now + dt)
+            world.ship.knowledge.sweep(world.sim.now)
+        self._probe()
+
+    @rule(role=st.one_of(_PLAN_ROLES, st.just(None)))
+    def emit(self, role):
+        # A role shuttle for a role, or the ship's genome for None.
+        for world in self.worlds:
+            if role is None:
+                world.ship.make_genome_shuttle(2, credential=world.cred)
+            elif world.ship.has_role(role.role_id):
+                world.ship.make_role_shuttle(role.role_id, 2,
+                                             credential=world.cred)
+            else:
+                with pytest.raises(ShipError):
+                    world.ship.make_role_shuttle(role.role_id, 2)
+
+    @invariant()
+    def dcp_agrees(self):
+        stamped, reference = self.worlds
+        for node in sorted(stamped.ships):
+            ship, ref = stamped.ships[node], reference.ships[node]
+            assert ship.structure() == ref.structure()
+            tracker, ref_tracker = ship.congruence, ref.congruence
+            assert tracker.history() == ref_tracker.history()
+            assert tracker.reflection_gain() == ref_tracker.reflection_gain()
+            assert tracker.emission_congruence() \
+                == ref_tracker.emission_congruence()
+            assert (tracker.shuttles_processed, tracker.shuttles_emitted) \
+                == (ref_tracker.shuttles_processed,
+                    ref_tracker.shuttles_emitted)
+
+
+TestDockOracle = DockOracleMachine.TestCase
+TestDockOracle.settings = settings(STATE_MACHINE_SETTINGS,
+                                   stateful_step_count=30)
 
 
 # ----------------------------------------------------------------------

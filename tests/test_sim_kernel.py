@@ -258,6 +258,43 @@ class TestRunUntilPast:
         assert sim.now == 10.0   # clock untouched
 
 
+class TestNonFiniteHorizon:
+    """Regression: ``run(until=inf)`` left the clock at inf, so the
+    next ``call_in(1.0, g)`` raised "delay outside [0, inf): 1.0"; and
+    ``run(until=nan)`` silently ran the agenda to exhaustion."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_infinite_horizon_runs_to_exhaustion(self, fast):
+        sim = simulator(fast, seed=1)
+        fired = []
+        sim.call_in(1.0, fired.append, "f")
+        assert sim.run(until=float("inf")) == 1.0
+        sim.call_in(1.0, fired.append, "g")
+        assert sim.run(until=float("inf")) == 2.0
+        assert fired == ["f", "g"]
+        # An empty agenda leaves the clock where it is.
+        assert sim.run(until=float("inf")) == 2.0
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_infinite_horizon_with_max_events_matches_none(self, fast):
+        runs = {}
+        for until in (None, float("inf")):
+            sim = simulator(fast, seed=1)
+            sim.every(0.5, lambda: None)
+            sim.run(until=until, max_events=3)
+            runs[until] = (sim.now, sim.events_executed, sim.pending_events)
+        assert runs[None] == runs[float("inf")] == (1.5, 3, 1)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_nan_horizon_rejected(self, fast):
+        sim = simulator(fast, seed=1)
+        sim.call_in(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.run(until=float("nan"))
+        assert (sim.now, sim.events_executed, sim.pending_events) \
+            == (0.0, 0, 1)
+
+
 class TestHorizonPauseResume:
     """run(until=...) paused at an epoch boundary and resumed must be
     indistinguishable from one monolithic run — zero extra RNG draws,

@@ -5,6 +5,7 @@ admission verifier for mobile code."""
 import hashlib
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -396,6 +397,56 @@ class TestAdmissionVerifier:
             Directive(OP_ACQUIRE_ROLE, role_id=1234)])
         verdict = AdmissionVerifier().vet(shuttle)
         assert verdict.reason_code == "malformed-directive"
+
+    def test_reasons_in_directive_then_argument_name_order(self):
+        # Per directive: required arguments, then optional ones, each by
+        # name; acquire-role declares "module" before "modal".  The
+        # stand-in module has no code for the carried-code lint to read.
+        shuttle = Shuttle(0, 1, directives=[
+            Directive(OP_ACQUIRE_ROLE, module=SimpleNamespace(entry=None),
+                      modal="yes"),
+            Directive(OP_DEPLOY_QUANTUM, auto_acquire=1)])
+        verdict = AdmissionVerifier().vet(shuttle)
+        assert verdict.reasons == (
+            "malformed-directive: directive[0] acquire-role missing "
+            "required arg 'role_id'",
+            "malformed-directive: directive[0] acquire-role arg 'modal' "
+            "has type str",
+            "malformed-directive: directive[0] acquire-role arg 'module' "
+            "has type SimpleNamespace",
+            "malformed-directive: directive[1] deploy-quantum missing "
+            "required arg 'quantum'",
+            "malformed-directive: directive[1] deploy-quantum arg "
+            "'auto_acquire' has type int")
+        assert verdict.lint_rules == ()
+
+    def test_unhashable_op_reported_not_raised(self):
+        shuttle = Shuttle(0, 1, directives=[
+            Directive(OP_SET_NEXT_STEP, role_id="fn.caching")])
+        shuttle.directives[0].op = ["set-next-step"]
+        shuttle.meta["manifest"] = shuttle_manifest(shuttle.directives)
+        verdict = AdmissionVerifier().vet(shuttle)
+        assert verdict.reasons == (
+            "unknown-op: directive[0] op=['set-next-step']",)
+
+    def test_mistyped_module_reported_not_raised(self):
+        # The carried-code lint skips what is not a CodeModule.
+        shuttle = Shuttle(0, 1, directives=[
+            Directive(OP_INSTALL_CODE, module=None)])
+        verdict = AdmissionVerifier().vet(shuttle)
+        assert verdict.reasons == (
+            "malformed-directive: directive[0] install-code arg 'module' "
+            "has type NoneType",)
+
+    def test_accepted_verdicts_are_one_object(self):
+        verifier = AdmissionVerifier()
+        first = verifier.vet(Shuttle(0, 1, directives=[
+            Directive(OP_SET_NEXT_STEP, role_id="fn.caching")]))
+        second = verifier.vet(Shuttle(0, 1, directives=[
+            Directive(OP_SET_NEXT_STEP, role_id="fn.transcoding")]))
+        assert first is second
+        assert first == (True, (), ())
+        assert verifier.verdict_cache_hits == 0
 
     def test_oversized_quantum_rejected(self):
         shuttle = Shuttle(0, 1, directives=[
