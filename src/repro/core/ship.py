@@ -50,12 +50,16 @@ from .shuttle import (OP_ACQUIRE_ROLE, OP_ACTIVATE_ROLE, OP_DEPLOY_QUANTUM,
                       OP_INSTALL_CODE, OP_INSTALL_DRIVER, OP_LOAD_BITSTREAM,
                       OP_RELEASE_ROLE, OP_REQUEST_STATE, OP_SET_NEXT_STEP,
                       OP_TRANSCRIBE_GENOME, Directive, Jet, Shuttle)
+# Imported eagerly, after every core and substrate module the verifier
+# needs, so a process holds repro.staticcheck before it forks shard
+# workers: no worker imports or compiles it after the fork.
+from ..staticcheck.admission import AdmissionVerifier
 
 DeliveryHandler = Callable[[Datagram, Hashable], None]
 
 #: Process-wide admission verifier (repro.staticcheck).  Shared so the
 #: carried-code lint cache is filled once per role class, not once per
-#: ship; imported lazily because staticcheck itself imports core types.
+#: ship; created on first use.
 _ADMISSION_VERIFIER = None
 
 
@@ -65,7 +69,6 @@ def _shared_admission_verifier():
     # via: ignore[VIA013]
     global _ADMISSION_VERIFIER
     if _ADMISSION_VERIFIER is None:
-        from ..staticcheck.admission import AdmissionVerifier
         _ADMISSION_VERIFIER = AdmissionVerifier()
     return _ADMISSION_VERIFIER
 

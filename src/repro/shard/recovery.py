@@ -23,12 +23,18 @@ needs to exploit that:
   deadline, restart budget, exponential backoff drawn from a dedicated
   seeded RNG stream).
 
-Replay determinism also leans on one process-level invariant: the
-supervising parent never *constructs* domain objects mid-run (it only
-pickles and unpickles them, which bypasses ``__init__``), so a
-replacement forked at restart time inherits the same module-global id
-counters the original worker inherited at launch — both replicas draw
-identical packet/quantum/genome id sequences.
+Replay determinism also leans on two process-level invariants:
+
+* the supervising parent never *constructs* domain objects mid-run (it
+  only pickles and unpickles them, which bypasses ``__init__``), so a
+  replacement forked at restart time inherits the same module-global
+  id counters the original worker inherited at launch — both replicas
+  draw identical packet/quantum/genome id sequences;
+* the parent has imported every module a replica needs before its
+  first fork (``import repro`` loads them all, ``repro.staticcheck``
+  included), so first-generation and replacement workers start from
+  the same module state and neither imports anything after the fork —
+  ``tests/test_shard.py::TestWarmFork`` guards it.
 """
 
 from __future__ import annotations

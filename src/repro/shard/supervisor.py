@@ -16,11 +16,12 @@ wrapping every protocol step in supervision:
   (missed per-barrier reply deadline) are detected, the dead process is
   reaped, and a replacement is forked after a seeded exponential
   backoff;
-* the replacement rebuilds its replica from the same workload bytes and
-  **replays** the journaled injection history to the current barrier —
-  determinism guarantees it reaches the exact state the original had,
-  so the barrier protocol resumes and the final K-shard digest is
-  byte-identical to the fault-free run;
+* the replacement rebuilds its replica from the same workload bytes,
+  without importing anything (it inherits every module the parent
+  holds), and **replays** the journaled injection history to the
+  current barrier — determinism guarantees it reaches the exact state
+  the original had, so the barrier protocol resumes and the final
+  K-shard digest is byte-identical to the fault-free run;
 * when the run-wide restart budget is exhausted the run *degrades*
   deterministically: every worker is killed and the inline oracle
   re-executes the workload from scratch in-process, flagged

@@ -7,7 +7,11 @@ scenario, every K, and both backends.  Everything else (balance,
 lookahead, fallback, stats) is in service of that invariant.
 """
 
+import json
+import pathlib
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -295,6 +299,46 @@ class TestExecutor:
             summed = sum(record["cpu_s"][shard] for record in records)
             assert summed == pytest.approx(total,
                                            abs=len(records) * 1e-6)
+
+
+# ----------------------------------------------------------------------
+# warm fork: a worker imports nothing after the fork
+# ----------------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _fresh_python(*args):
+    """``python *args`` in a new interpreter that has imported nothing
+    of ``repro`` yet.  It runs in ``src``, so ``-c`` code imports
+    ``repro`` from this checkout."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT / "src",
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestWarmFork:
+    def test_workers_import_nothing_after_the_fork(self):
+        """First-generation workers, obs-on workers and a replacement
+        forked after a kill all start with every module a replica
+        needs: ``late_imports`` sums, over a run's workers, the modules
+        imported between a replica's ``build()`` and its ``collect()``.
+        It runs in a fresh interpreter, because this process has built
+        ships already and would read 0 whatever ``repro`` imports."""
+        result = _fresh_python(str(ROOT / "tests" / "warm_fork_probe.py"))
+        assert result.returncode == 0, result.stderr[-2000:]
+        reading = json.loads(result.stdout.splitlines()[-1])
+        assert reading["restarts"] >= 1
+        assert not reading["degraded"]
+        assert (reading["off"], reading["obs"], reading["kill"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("module", [
+        "repro.staticcheck", "repro.staticcheck.admission",
+        "repro.core.ship", "repro.shard.supervisor"])
+    def test_first_import_resolves_the_cycle(self, module):
+        """``core.ship`` imports ``staticcheck.admission``, which imports
+        core types: each side imports cleanly as a process's first."""
+        result = _fresh_python("-c", f"import {module}")
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 # ----------------------------------------------------------------------
